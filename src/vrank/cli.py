@@ -42,9 +42,15 @@ def _resolve_family(name: str) -> Family:
         raise CliError(str(e)) from e
 
 
+def _nonnegative(option: str, value: int) -> int:
+    if value < 0:
+        raise CliError(f"{option} must be >= 0, got {value}")
+    return value
+
+
 def cmd_enumerate(args) -> int:
     f = _resolve_family(args.family)
-    elems = enumerate_family(f, args.n, ceiling=args.ceiling)
+    elems = enumerate_family(f, _nonnegative("--n", args.n), ceiling=args.ceiling)
     texts = [format_element(f, x) for x in elems]
     if args.format == "json":
         print(json.dumps({"family": args.family, "n": args.n, "elements": texts}))
@@ -72,7 +78,7 @@ def cmd_bijection(args) -> int:
 
 def cmd_orbits(args) -> int:
     f = BIJECTION_FAMILIES[args.family]
-    decomposition = orbits.build_orbits(f, args.n, ceiling=args.ceiling)
+    decomposition = orbits.build_orbits(f, _nonnegative("--n", args.n), ceiling=args.ceiling)
     if args.format == "json":
         print(json.dumps(orbits.orbits_to_json(f, args.family, args.n, decomposition)))
     else:
@@ -82,6 +88,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_verify(args) -> int:
     f = VERIFY_FAMILIES[args.family]
+    _nonnegative("--max-n", args.max_n)
     methods = ["series", "enumerate", "orbits"] if args.method == "all" else [args.method]
     if f is OP2 and "orbits" in methods:
         if args.method == "orbits":
@@ -114,7 +121,7 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     f = _resolve_family(args.family)
-    s = series.family_series(f, args.terms)
+    s = series.family_series(f, _nonnegative("--terms", args.terms))
     for n, c in enumerate(s.coeffs):
         print(f"{n},{c}")
     return 0

@@ -124,6 +124,24 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--family", "pd", "--terms", "-3"),
+        ("verify", "--family", "pd", "--max-n", "-5"),
+        ("enumerate", "--family", "pd", "--n", "-1"),
+        ("orbits", "--family", "pd", "--n", "-1"),
+    ],
+    ids=["series-terms", "verify-max-n", "enumerate-n", "orbits-n"],
+)
+def test_negative_range_exits_2(capsys, argv):
+    # a negative range is a usage error: no output, no "ok" for an unchecked range
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be >= 0" in err
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -9,16 +9,20 @@ from vrank.families import (
     PD,
     POD,
     POD2,
+    NAMED_FAMILIES,
     count_family,
+    family_by_name,
 )
 from vrank.series import (
     PowerSeries,
     ProductSpec,
+    _apply_linear,
     a_series_direct,
     build_series,
     family_series,
     odd_staircase_theta,
     one,
+    product_spec,
     scan_congruence,
     staircase_theta,
 )
@@ -46,8 +50,6 @@ def test_mul_commutes_and_associates():
 
 def test_geometric_series():
     # a single linear factor 1/(1-q) has every coefficient 1
-    from vrank.series import _apply_linear
-
     s = one(20)
     _apply_linear(s.coeffs, 1, 1, -1)
     assert s.coeffs == [1] * 21
@@ -120,6 +122,81 @@ def test_pod2_identity():
 @pytest.mark.parametrize("f", [PD, A, POD2, OP2], ids=["pd", "a", "pod2", "op2"])
 def test_congruence_scan_clean(f):
     assert scan_congruence(f, 300) == []
+
+
+@pytest.mark.parametrize("f", [PD, A, POD2, OP2], ids=["pd", "a", "pod2", "op2"])
+def test_congruence_scan_clean_to_3000(f):
+    assert scan_congruence(f, 3000) == []
+
+
+# --- the eta-quotient engine against the linear-factor sweeps ----------------
+
+def _reference_series(f: Family, truncation: int) -> PowerSeries:
+    """One O(N) sweep per linear factor of every Pochhammer factor, thetas and
+    vector components by Cauchy product.  pod uses its defining product
+    (-q;q^2)_inf / (q^2;q^2)_inf, the other families their product_spec."""
+    if f.tag == "vector" and f != POD2:
+        s = one(truncation)
+        for g in f.components:
+            s = s.mul(_reference_series(g, truncation))
+        return s
+    spec = ProductSpec(((1, 2, 1, -1), (2, 2, -1, 1))) if f == POD else product_spec(f)
+    s = one(truncation)
+    for a, b, exponent, sign in spec.factors:
+        for k in range(a, truncation + 1, b):
+            _apply_linear(s.coeffs, k, sign, exponent)
+    thetas = {"staircase": staircase_theta, "odd-staircase": odd_staircase_theta}
+    for name in spec.thetas:
+        s = s.mul(thetas[name](truncation))
+    return s
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pd", "a", "pod", "pod2", "op", "op2", "ordinary", "staircase", "odd-staircase",
+     "p5_1,4", "d3_0"],
+)
+def test_series_matches_linear_sweep_reference(name):
+    f = family_by_name(name)
+    assert family_series(f, 400) == _reference_series(f, 400)
+
+
+@pytest.mark.parametrize(
+    "f, eta",
+    [
+        (PD, {1: -1, 2: -1, 3: -1, 6: 1}),  # Andrews-Lewis-Lovejoy
+        (A, {1: -1, 2: -1}),
+        (POD, {1: -1, 2: 1, 4: -1}),  # Hirschhorn-Sellers
+        (POD2, {1: -2, 2: 2, 4: -2}),
+        (OP2, {1: -4, 2: 2}),
+    ],
+    ids=["pd", "a", "pod", "pod2", "op2"],
+)
+def test_eta_exponents_are_published_quotients(f, eta):
+    # exact for every truncation: the codomain specs of pd, a and pod2 fold to
+    # the published eta quotients of their families
+    assert product_spec(f).eta_exponents() == eta
+
+
+def test_thetas_equal_eta_forms():
+    # psi(q) = f2^2 / f1 and phi(q) = f2^5 / (f1^2 f4^2), built from full eta factors
+    psi = ProductSpec(((2, 2, 2, 1), (1, 1, -1, 1)))
+    phi = ProductSpec(((2, 2, 5, 1), (1, 1, -2, 1), (4, 4, -2, 1)))
+    assert staircase_theta(2000) == build_series(psi, 2000)
+    assert odd_staircase_theta(2000) == build_series(phi, 2000)
+
+
+def test_named_families_need_no_linear_sweep():
+    for f in NAMED_FAMILIES.values():
+        assert all(a == b for a, b, _, _ in product_spec(f).factors), f
+
+
+def test_negative_truncation_rejected():
+    with pytest.raises(ValueError):
+        build_series(ProductSpec(), -1)
+    with pytest.raises(ValueError):
+        family_series(PD, -3)
+    assert family_series(PD, 0) == one(0)
 
 
 def test_congruence_scan_finds_violations():
