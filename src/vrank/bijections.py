@@ -9,6 +9,7 @@
   partitions and (even partition, odd staircase with optional overline).
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .families import (
@@ -32,6 +33,7 @@ from .partition import (
     halve,
     is_staircase,
     scale2,
+    staircase,
     to_frobenius,
     union,
 )
@@ -63,23 +65,48 @@ def _partition_from_levels(levels: list[int]) -> Partition:
     return tuple(v for v in reversed(parts) if v > 0)
 
 
+def _doubled_quotient(levels: list[int]) -> Partition:
+    """Twice the partition whose beta set is `levels`, given strictly decreasing."""
+    top = len(levels) - 1
+    return tuple(2 * (v - top + j) for j, v in enumerate(levels) if v > top - j)
+
+
+@lru_cache(maxsize=None)
+def _core(beads0: int, beads1: int) -> Partition:
+    """The 2-core with `beads0` beads on runner 0 and `beads1` on runner 1, all
+    pushed up: beta set {0, 2, .., 2*beads0 - 2} with {1, 3, .., 2*beads1 - 1}."""
+    return _partition_from_levels(list(range(0, 2 * beads0, 2)) + list(range(1, 2 * beads1, 2)))
+
+
+@lru_cache(maxsize=None)
+def _runner_counts(height: int, size: int) -> tuple[int, int]:
+    """Beads on runners 0 and 1 of the staircase of `height` with `size` beads."""
+    even = sum(1 for b in _beta_set(staircase(height), size) if b % 2 == 0)
+    return even, size - even
+
+
 def phi(p: Partition) -> CoreQuotientTriple:
     """2-core and doubled 2-quotient, via beads on two runners.
 
     Beta numbers are taken for an even number of beads; runner 0 (even
-    positions) carries the first quotient, runner 1 the second.
+    positions) carries the first quotient, runner 1 the second.  The beta set
+    is strictly decreasing, so each runner's levels come out decreasing.
     """
-    size = len(p) + (len(p) % 2)
-    beta = _beta_set(p, size)
-    runner0 = [b // 2 for b in beta if b % 2 == 0]
-    runner1 = [(b - 1) // 2 for b in beta if b % 2 == 1]
-    q0 = _partition_from_levels(runner0)
-    q1 = _partition_from_levels(runner1)
-    core_beta = [2 * i for i in range(len(runner0))] + [
-        2 * i + 1 for i in range(len(runner1))
-    ]
-    core = _partition_from_levels(core_beta)
-    return CoreQuotientTriple(core, scale2(q0), scale2(q1))
+    top = len(p) + len(p) % 2 - 1  # an even bead count, minus one
+    runner0, runner1 = [], []
+    for j, v in enumerate(p):
+        b = v + top - j
+        if b % 2:
+            runner1.append(b // 2)
+        else:
+            runner0.append(b // 2)
+    if len(p) % 2:
+        runner0.append(0)  # the one zero part padding to an even bead count
+    return CoreQuotientTriple(
+        _core(len(runner0), len(runner1)),
+        _doubled_quotient(runner0),
+        _doubled_quotient(runner1),
+    )
 
 
 def phi_inv(t: CoreQuotientTriple) -> Partition:
@@ -90,16 +117,14 @@ def phi_inv(t: CoreQuotientTriple) -> Partition:
     q0, q1 = halve(even_a), halve(even_b)
     size = 2 * max(len(core), len(q0) + len(q1), 1)
     while True:
-        beta = _beta_set(core, size)
-        c0 = sum(1 for b in beta if b % 2 == 0)
-        c1 = size - c0
+        c0, c1 = _runner_counts(len(core), size)
         if c0 >= len(q0) and c1 >= len(q1):
             break
         size += 2
     positions = []
     for q, count, parity in ((q0, c0, 0), (q1, c1, 1)):
-        asc = [0] * (count - len(q)) + sorted(q)
-        positions.extend(2 * (v + j) + parity for j, v in enumerate(asc))
+        asc = [0] * (count - len(q)) + list(q[::-1])
+        positions += [2 * (v + j) + parity for j, v in enumerate(asc)]
     return _partition_from_levels(positions)
 
 

@@ -11,6 +11,7 @@ import sys
 from . import bijections, orbits, series
 from .families import (
     A,
+    DEFAULT_CEILING,
     ElementParseError,
     EnumerationLimitError,
     Family,
@@ -96,18 +97,18 @@ def cmd_verify(args) -> int:
         methods.remove("orbits")
     failures = []
     for method in methods:
+        limit = args.max_n if method == "series" else min(args.max_n, args.ceiling)
+        _report_range(args, method, limit)
         if method == "series":
             violations = series.scan_congruence(f, args.max_n)
             for n in violations:
                 failures.append(f"series: coefficient at {3 * n + 2} not divisible by 3")
         elif method == "enumerate":
-            limit = min(args.max_n, args.ceiling)
             for n in range(2, limit + 1, 3):
                 c = count_family(f, n, ceiling=args.ceiling)
                 if c % 3 != 0:
                     failures.append(f"enumerate: count({args.family}, {n}) = {c}")
         else:  # orbits
-            limit = min(args.max_n, args.ceiling)
             for n in range(2, limit + 1, 3):
                 blocks = orbits.build_orbits(f, n, ceiling=args.ceiling)
                 total = count_family(f, n, ceiling=args.ceiling)
@@ -117,6 +118,19 @@ def cmd_verify(args) -> int:
     for line in failures:
         print(line)
     return 1 if failures else 0
+
+
+def _report_range(args, method: str, limit: int) -> None:
+    """Print the weights n == 2 mod 3 up to `limit` that `method` checks, and
+    whether --ceiling left out some that --max-n asks for."""
+    weights = list(range(2, limit + 1, 3))
+    bound = f"--max-n {args.max_n}"
+    if len(weights) < len(range(2, args.max_n + 1, 3)):
+        bound = f"capped by --ceiling {args.ceiling}; {bound}"
+    if len(weights) > 4:
+        weights[2:-1] = ["..."]
+    checked = "n = " + ", ".join(map(str, weights)) if weights else "no weight"
+    print(f"{args.family} {method}: checked {checked} ({bound})")
 
 
 def cmd_series(args) -> int:
@@ -143,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--ceiling", type=int, default=40)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("bijection", help="apply a family bijection or its inverse")
@@ -157,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(BIJECTION_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--ceiling", type=int, default=40)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("verify", help="check the mod-3 congruence")

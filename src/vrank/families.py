@@ -4,11 +4,20 @@ Each family is identified by a `Family` value.  Elements are either bare
 partitions (tuples) or one of the small frozen dataclasses below; every family
 has a canonical text form, and enumeration is sorted lexicographically on that
 form so golden outputs are stable.
+
+A weight slice is built as a pair of parallel tuples (canonical texts,
+elements) sorted by text.  The slices of vector *components* are memoized per
+(family, weight) in `_component_slice`, so a vector slice is the product of
+cached pools over the weight splits whose pools are all nonempty, and its
+text is joined from the cached component texts instead of formatted again.
+Top-level slices are not cached: `enumerate_family` builds each one afresh
+and returns a new list.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .partition import (
@@ -17,7 +26,9 @@ from .partition import (
     InvalidPartitionError,
     check_partition,
     format_partition,
+    is_staircase,
     parse_partition,
+    staircase,
     weight,
 )
 
@@ -298,8 +309,8 @@ def is_member(f: Family, x: Any) -> bool:
         if tag == "mod-distinct":
             return len(set(x)) == len(x) and all(v % f.modulus in f.residues for v in x)
         if tag == "staircase":
-            return x == tuple(range(len(x), 0, -1))
-        return all(x.count(v) == 1 for v in set(x) if v % 2 == 1)  # pod
+            return is_staircase(x)
+        return _odd_parts_distinct(x)  # pod
     if tag == "overpartition":
         _require_type(x, Overpartition, f)
         check_partition(x.parts)
@@ -340,6 +351,12 @@ def _require_type(x, kind, f: Family):
         raise ShapeMismatchError(f"family {f.tag} expects {kind.__name__}, got {type(x).__name__}")
 
 
+def _odd_parts_distinct(p: Partition) -> bool:
+    """The pod condition: no odd part repeats."""
+    odd = [v for v in p if v % 2]
+    return len(odd) == len(set(odd))
+
+
 # --- enumeration ------------------------------------------------------------
 
 def enumerate_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list:
@@ -348,9 +365,7 @@ def enumerate_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list:
         raise ValueError("weight must be nonnegative")
     if n > ceiling:
         raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
-    elems = list(_generate(f, n))
-    elems.sort(key=lambda x: format_element(f, x))
-    return elems
+    return list(_text_slice(f, n)[1])
 
 
 def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
@@ -378,6 +393,7 @@ def _cached_count(f: Family, n: int) -> int:
 
 
 def _generate(f: Family, n: int) -> Iterator:
+    """The elements of weight n of a non-vector family, in no set order."""
     tag = f.tag
     if tag == "mod-parts":
         allowed = set(f.residues)
@@ -391,7 +407,7 @@ def _generate(f: Family, n: int) -> Iterator:
             if w > n:
                 break
             if w == n:
-                yield tuple(range(k, 0, -1))
+                yield staircase(k)
     elif tag == "odd-staircase":
         for m in itertools.count():
             if m * m > n:
@@ -401,9 +417,7 @@ def _generate(f: Family, n: int) -> Iterator:
                 if m > 0:
                     yield OddStaircase(m, True)
     elif tag == "pod":
-        for p in _ordinary_partitions(n):
-            if all(p.count(v) == 1 for v in set(p) if v % 2 == 1):
-                yield p
+        yield from filter(_odd_parts_distinct, _ordinary_partitions(n))
     elif tag == "overpartition":
         for p in _ordinary_partitions(n):
             mags = sorted(set(p), reverse=True)
@@ -422,13 +436,48 @@ def _generate(f: Family, n: int) -> Iterator:
             for blue in _generate(EVEN_PARTS, b):
                 for red in _ordinary_partitions(n - b):
                     yield TwoColorPartition(red, blue)
-    elif tag == "vector":
-        for split in _weight_splits(n, len(f.components)):
-            pools = [list(_generate(g, w)) for g, w in zip(f.components, split)]
-            for combo in itertools.product(*pools):
-                yield VTuple(combo, f)
     else:
         raise UnknownFamilyError(f.tag)
+
+
+Slice = tuple[tuple[str, ...], tuple[Any, ...]]
+
+
+def _text_slice(f: Family, n: int) -> Slice:
+    """(canonical texts, elements) of weight n, both in text order."""
+    if f.tag == "vector":
+        # The same text format_element gives a vector, from cached parts.
+        pairs = [
+            ("(" + ";".join(texts) + ")", combo)
+            for pools in _pool_splits(f.components, n)
+            for texts, combo in zip(
+                itertools.product(*(texts for texts, _ in pools)),
+                itertools.product(*(elems for _, elems in pools)),
+            )
+        ]
+        pairs.sort(key=itemgetter(0))
+        return tuple(t for t, _ in pairs), tuple(VTuple(combo, f) for _, combo in pairs)
+    pairs = [(format_element(f, x), x) for x in _generate(f, n)]
+    pairs.sort(key=itemgetter(0))
+    return tuple(t for t, _ in pairs), tuple(x for _, x in pairs)
+
+
+_component_slice = lru_cache(maxsize=None)(_text_slice)
+
+
+def _pool_splits(components: tuple[Family, ...], n: int) -> Iterator[tuple[Slice, ...]]:
+    """Cached component slices for every split of n over the components in
+    which no slice is empty; splits are in lexicographic order."""
+    if len(components) == 1:
+        pool = _component_slice(components[0], n)
+        if pool[1]:
+            yield (pool,)
+        return
+    for w in range(n + 1):
+        pool = _component_slice(components[0], w)
+        if pool[1]:
+            for rest in _pool_splits(components[1:], n - w):
+                yield (pool,) + rest
 
 
 def _weight_splits(n: int, k: int) -> Iterator[tuple[int, ...]]:

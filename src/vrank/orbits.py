@@ -14,6 +14,7 @@ from typing import Any, Callable
 from . import bijections
 from .families import (
     A,
+    DEFAULT_CEILING,
     Family,
     PD,
     POD2,
@@ -97,7 +98,7 @@ class Orbit:
     members: tuple[tuple[Any, VTuple, int], ...]
 
 
-def build_orbits(f: Family, n: int, ceiling: int = 40) -> list[Orbit]:
+def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbit]:
     """Orbit decomposition of the weight-n slice of f (n == 2 mod 3)."""
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")

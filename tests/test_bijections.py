@@ -23,6 +23,7 @@ from vrank.families import (
     A,
     A_IMAGE,
     DesignatedPartition,
+    ORDINARY,
     OddStaircase,
     PD,
     PD_IMAGE,
@@ -37,8 +38,10 @@ from vrank.families import (
 from vrank.partition import (
     InvalidPartitionError,
     all_parts_even,
+    halve,
     is_staircase,
     make_partition,
+    scale2,
     weight,
 )
 
@@ -80,6 +83,86 @@ def test_phi_inv_rejects_bad_input():
         phi_inv(CoreQuotientTriple((2,), (), ()))
     with pytest.raises(InvalidPartitionError):
         phi_inv(CoreQuotientTriple((1,), (3,), ()))
+
+
+# A copy of the earlier abacus, which rebuilds and sorts the full beta set on
+# every call, as a reference for the runner-reading kernels.
+
+def _reference_beta_set(p, size):
+    parts = list(p) + [0] * (size - len(p))
+    return [parts[j] + (size - 1 - j) for j in range(size)]
+
+
+def _reference_from_levels(levels):
+    parts = [v - j for j, v in enumerate(sorted(levels))]
+    return tuple(v for v in reversed(parts) if v > 0)
+
+
+def _reference_phi(p):
+    beta = _reference_beta_set(p, len(p) + (len(p) % 2))
+    runner0 = [b // 2 for b in beta if b % 2 == 0]
+    runner1 = [(b - 1) // 2 for b in beta if b % 2 == 1]
+    core_beta = [2 * i for i in range(len(runner0))] + [2 * i + 1 for i in range(len(runner1))]
+    return (
+        _reference_from_levels(core_beta),
+        scale2(_reference_from_levels(runner0)),
+        scale2(_reference_from_levels(runner1)),
+    )
+
+
+def _reference_phi_inv(t):
+    core, even_a, even_b = t
+    q0, q1 = halve(even_a), halve(even_b)
+    size = 2 * max(len(core), len(q0) + len(q1), 1)
+    while True:
+        c0 = sum(1 for b in _reference_beta_set(core, size) if b % 2 == 0)
+        c1 = size - c0
+        if c0 >= len(q0) and c1 >= len(q1):
+            break
+        size += 2
+    positions = []
+    for q, count, parity in ((q0, c0, 0), (q1, c1, 1)):
+        asc = [0] * (count - len(q)) + sorted(q)
+        positions.extend(2 * (v + j) + parity for j, v in enumerate(asc))
+    return _reference_from_levels(positions)
+
+
+def test_phi_matches_reference_exhaustive():
+    # phi is onto the triples of each weight, so this also covers all of
+    # phi_inv's valid inputs up to weight 20
+    for n in range(21):
+        for p in enumerate_family(ORDINARY, n):
+            t = phi(p)
+            assert t == _reference_phi(p)
+            assert phi_inv(t) == _reference_phi_inv(t) == p
+
+
+def test_phi_inv_keeps_its_validation():
+    with pytest.raises(InvalidPartitionError):
+        phi_inv(CoreQuotientTriple((2, 1, 1), (), ()))  # not a staircase
+    with pytest.raises(InvalidPartitionError):
+        phi_inv(CoreQuotientTriple((1,), (3,), ()))  # odd part in a quotient
+    with pytest.raises(InvalidPartitionError):
+        phi_inv(CoreQuotientTriple((), (), (4, 1)))
+
+
+@st.composite
+def heavy_partitions(draw, low=50, high=300):
+    """A partition whose weight is drawn from [low, high]."""
+    left = draw(st.integers(low, high))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, min(left, 60))))
+        left -= parts[-1]
+    return make_partition(parts)
+
+
+@given(heavy_partitions())
+def test_phi_round_trip_at_large_weights(p):
+    t = phi(p)
+    assert is_staircase(t.core)
+    assert weight(t.core) + weight(t.even_a) + weight(t.even_b) == weight(p)
+    assert phi_inv(t) == p
 
 
 # --- delta / psi ------------------------------------------------------------

@@ -79,6 +79,42 @@ def test_verify_all_methods_agree(capsys):
     assert "series: ok" in out and "enumerate: ok" in out and "orbits: ok" in out
 
 
+def test_verify_reports_the_weights_it_checked(capsys):
+    # --ceiling caps the enumerate and orbits methods below --max-n: each
+    # says so before its result, and the run still exits 0
+    code, out, _ = run(
+        capsys, "verify", "--family", "pd", "--max-n", "300", "--ceiling", "8",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "pd series: checked n = 2, 5, ..., 299 (--max-n 300)",
+        "pd series: ok",
+        "pd enumerate: checked n = 2, 5, 8 (capped by --ceiling 8; --max-n 300)",
+        "pd enumerate: ok",
+        "pd orbits: checked n = 2, 5, 8 (capped by --ceiling 8; --max-n 300)",
+        "pd orbits: ok",
+    ]
+
+
+@pytest.mark.parametrize(
+    "max_n,ceiling,line",
+    [
+        ("10", "9", "a enumerate: checked n = 2, 5, 8 (--max-n 10)"),
+        ("11", "10", "a enumerate: checked n = 2, 5, 8 (capped by --ceiling 10; --max-n 11)"),
+        ("1", "24", "a enumerate: checked no weight (--max-n 1)"),
+        ("11", "24", "a enumerate: checked n = 2, 5, 8, 11 (--max-n 11)"),
+        ("14", "24", "a enumerate: checked n = 2, 5, ..., 14 (--max-n 14)"),
+    ],
+)
+def test_verify_range_line(capsys, max_n, ceiling, line):
+    code, out, _ = run(
+        capsys, "verify", "--family", "a", "--max-n", max_n, "--ceiling", ceiling,
+        "--method", "enumerate",
+    )
+    assert code == 0
+    assert out.splitlines() == [line, "a enumerate: ok"]
+
+
 def test_verify_op2_skips_orbits(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "op2", "--max-n", "30", "--method", "all",

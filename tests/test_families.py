@@ -1,22 +1,31 @@
+import itertools
+
 import pytest
 
 from vrank.families import (
     A,
+    A_IMAGE,
     DISTINCT_MULTIPLES_OF_3,
     DesignatedPartition,
     EnumerationLimitError,
     Family,
+    NAMED_FAMILIES,
     ODD_STAIRCASE,
     OP2,
     ORDINARY,
     OVERPARTITION,
     PD,
+    PD_IMAGE,
     POD,
     POD2,
+    POD2_IMAGE,
     STAIRCASE,
     ShapeMismatchError,
     TwoColorPartition,
     UnknownFamilyError,
+    VTuple,
+    _generate,
+    _weight_splits,
     count_family,
     element_weight,
     enumerate_family,
@@ -138,3 +147,41 @@ def test_family_by_name():
     assert family_by_name("d3_0") == DISTINCT_MULTIPLES_OF_3
     with pytest.raises(UnknownFamilyError):
         family_by_name("nope")
+
+
+# --- enumeration core -------------------------------------------------------
+
+CORE_FAMILIES = {**NAMED_FAMILIES, "pd-image": PD_IMAGE, "a-image": A_IMAGE,
+                 "pod2-image": POD2_IMAGE}
+
+
+def _split_products(f, n):
+    """Vector elements built component by component from uncached generators."""
+    for split in _weight_splits(n, len(f.components)):
+        pools = [list(_generate(g, w)) for g, w in zip(f.components, split)]
+        for combo in itertools.product(*pools):
+            yield VTuple(combo, f)
+
+
+@pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
+def test_enumeration_matches_reference(name):
+    f = CORE_FAMILIES[name]
+    for n in range(13):
+        elems = enumerate_family(f, n)
+        text = lambda x: format_element(f, x)  # noqa: E731
+        reference = _split_products(f, n) if f.tag == "vector" else _generate(f, n)
+        assert elems == sorted(reference, key=text)
+        assert len(set(elems)) == len(elems) == count_family(f, n)
+
+
+@pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
+def test_enumeration_returns_a_fresh_list(name):
+    f = CORE_FAMILIES[name]
+    for n in (6, 9):  # every family has elements at one of them
+        first = enumerate_family(f, n)
+        expected = list(first)
+        first.clear()
+        assert enumerate_family(f, n) == expected
+        second = enumerate_family(f, n)
+        second.reverse()
+        assert enumerate_family(f, n) == expected
