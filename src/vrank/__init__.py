@@ -43,6 +43,6 @@ from .bijections import (
     lambda_pod_inv,
 )
 from .orbits import v_rank, classify_case, o_hat, rotate_o, build_orbits
-from .series import PowerSeries, ProductSpec, build_series, family_series, scan_congruence
+from .series import PowerSeries, build_series, family_series, generating_function, scan_congruence
 
 __version__ = "0.1.0"

@@ -51,7 +51,8 @@ def _nonnegative(option: str, value: int) -> int:
 
 def cmd_enumerate(args) -> int:
     f = _resolve_family(args.family)
-    elems = enumerate_family(f, _nonnegative("--n", args.n), ceiling=args.ceiling)
+    n, ceiling = _nonnegative("--n", args.n), _nonnegative("--ceiling", args.ceiling)
+    elems = enumerate_family(f, n, ceiling=ceiling)
     texts = [format_element(f, x) for x in elems]
     if args.format == "json":
         print(json.dumps({"family": args.family, "n": args.n, "elements": texts}))
@@ -79,7 +80,8 @@ def cmd_bijection(args) -> int:
 
 def cmd_orbits(args) -> int:
     f = BIJECTION_FAMILIES[args.family]
-    decomposition = orbits.build_orbits(f, _nonnegative("--n", args.n), ceiling=args.ceiling)
+    n, ceiling = _nonnegative("--n", args.n), _nonnegative("--ceiling", args.ceiling)
+    decomposition = orbits.build_orbits(f, n, ceiling=ceiling)
     if args.format == "json":
         print(json.dumps(orbits.orbits_to_json(f, args.family, args.n, decomposition)))
     else:
@@ -90,6 +92,7 @@ def cmd_orbits(args) -> int:
 def cmd_verify(args) -> int:
     f = VERIFY_FAMILIES[args.family]
     _nonnegative("--max-n", args.max_n)
+    _nonnegative("--ceiling", args.ceiling)
     methods = ["series", "enumerate", "orbits"] if args.method == "all" else [args.method]
     if f is OP2 and "orbits" in methods:
         if args.method == "orbits":

@@ -71,6 +71,8 @@ class Family:
                 raise UnknownFamilyError(f"modulus must be >= 1: {self}")
             if any(not 0 <= r < self.modulus for r in self.residues):
                 raise UnknownFamilyError(f"residues out of range: {self}")
+            if len(set(self.residues)) != len(self.residues):
+                raise UnknownFamilyError(f"repeated residue: {self}")
 
 
 ORDINARY = Family("mod-parts", 1, (0,))
@@ -369,19 +371,6 @@ def enumerate_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list:
 
 
 def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
-    if f.tag == "vector":
-        # Memoized per-component counts; avoids materializing the product.
-        if n > ceiling:
-            raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
-        total = 0
-        for split in _weight_splits(n, len(f.components)):
-            prod = 1
-            for g, w in zip(f.components, split):
-                prod *= _cached_count(g, w)
-                if prod == 0:
-                    break
-            total += prod
-        return total
     if n > ceiling:
         raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
     return _cached_count(f, n)
@@ -389,7 +378,18 @@ def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
 
 @lru_cache(maxsize=None)
 def _cached_count(f: Family, n: int) -> int:
-    return sum(1 for _ in _generate(f, n))
+    if f.tag != "vector":
+        return sum(1 for _ in _generate(f, n))
+    # Products of memoized component counts; the product is never materialized.
+    total = 0
+    for split in _weight_splits(n, len(f.components)):
+        prod = 1
+        for g, w in zip(f.components, split):
+            prod *= _cached_count(g, w)
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def _generate(f: Family, n: int) -> Iterator:

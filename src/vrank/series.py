@@ -1,17 +1,20 @@
 """Truncated formal power series in q over Python ints, and the family
 generating functions used to cross-check every enumeration count.
 
-Each named family's generating function is an eta quotient prod (q^a; q^a)_inf^e_a,
-applied in place in O(N sqrt N) per factor by the pentagonal number theorem;
-residue-class factors (q^a; q^b)_inf, a < b, take an O(N) sweep per linear factor.
+A family's generating function is one exponent map {(a, b): e}, read as
+prod (q^a; q^b)_inf^e.  A named family's map is its published eta quotient
+prod f_a^e_a, f_a = (q^a; q^a)_inf, and a vector family's map is the sum of
+its components' maps, so no map is derived from a bijection.  Each f_a is
+applied in place in O(N sqrt N) by the pentagonal number theorem;
+residue-class factors (q^a; q^b)_inf, a < b, take an O(N) sweep per linear
+factor.
 """
 
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .families import A, Family, PD, POD, POD2, UnknownFamilyError
+from .families import Family, UnknownFamilyError
 
 
 class PowerSeries:
@@ -55,46 +58,16 @@ def one(truncation: int) -> PowerSeries:
     return PowerSeries([1] + [0] * truncation)
 
 
-# Eta forms of the theta sums (Gauss, Jacobi): psi(q) = f2^2/f1, phi(q) = f2^5/(f1^2 f4^2).
-_THETA_ETA = {"staircase": {1: -1, 2: 2}, "odd-staircase": {1: -2, 2: 5, 4: -2}}
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """A product of Pochhammer factors times theta-style sums: each factor
-    (a, b, exponent, sign), a <= b, is (sign * q^a; q^b)_inf ** exponent, i.e.
-    prod_{j>=0} (1 - sign * q^(a + j*b)) ** exponent; thetas names sums among
-    {"staircase", "odd-staircase"}."""
-
-    factors: tuple[tuple[int, int, int, int], ...] = ()
-    thetas: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for a, b, _, sign in self.factors:
-            if not (1 <= a <= b) or sign not in (1, -1):
-                raise ValueError(f"bad factor {(a, b, sign)}")
-
-    def eta_exponents(self) -> dict[int, int]:
-        """{a: e_a}: the thetas and full-period factors (a == b) as prod f_a^e_a."""
-        eta = Counter()
-        for a, b, exponent, sign in self.factors:
-            if a == b:  # (-q^a; q^a)_inf = f_2a / f_a
-                eta.update({a: -exponent, 2 * a: exponent} if sign < 0 else {a: exponent})
-        for name in self.thetas:
-            eta.update(_THETA_ETA[name])
-        return {a: e for a, e in sorted(eta.items()) if e}
-
-
-def _apply_linear(coeffs: list[int], k: int, sign: int, exponent: int) -> None:
-    """Multiply in place by (1 - sign*q^k)^exponent."""
+def _apply_linear(coeffs: list[int], k: int, exponent: int) -> None:
+    """Multiply in place by (1 - q^k)^exponent."""
     n = len(coeffs) - 1
     for _ in range(abs(exponent)):
         if exponent > 0:
             for i in range(n, k - 1, -1):
-                coeffs[i] -= sign * coeffs[i - k]
+                coeffs[i] -= coeffs[i - k]
         else:
             for i in range(k, n + 1):
-                coeffs[i] += sign * coeffs[i - k]
+                coeffs[i] += coeffs[i - k]
 
 
 def _apply_eta(coeffs: list[int], a: int, exponent: int) -> None:
@@ -132,53 +105,54 @@ def odd_staircase_theta(truncation: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-def build_series(spec: ProductSpec, truncation: int) -> PowerSeries:
+def build_series(factors: dict[tuple[int, int], int], truncation: int) -> PowerSeries:
+    """prod (q^a; q^b)_inf^e over the items ((a, b), e) of `factors`."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     s = one(truncation)
-    for a, b, exponent, sign in spec.factors:
-        for k in range(a, truncation + 1, b) if a < b else ():
-            _apply_linear(s.coeffs, k, sign, exponent)
-    for a, exponent in spec.eta_exponents().items():
-        _apply_eta(s.coeffs, a, exponent)
+    for (a, b), exponent in factors.items():
+        if a == b:
+            _apply_eta(s.coeffs, a, exponent)
+        else:
+            for k in range(a, truncation + 1, b):
+                _apply_linear(s.coeffs, k, exponent)
     return s
 
 
 # --- family generating functions -------------------------------------------
-def product_spec(f: Family) -> ProductSpec:
-    """Product spec of a family's generating function: for the three
-    congruence families the product of their bijection codomain's components,
-    else the defining product (for vector families, of each component)."""
-    if f == PD:
-        # staircase * (-q^3;q^3)_inf / (q^2;q^2)_inf^3
-        return ProductSpec(((3, 3, 1, -1), (2, 2, -3, 1)), ("staircase",))
-    if f == A:
-        return ProductSpec(((2, 2, -3, 1),), ("staircase",))
-    if f == POD2:
-        return ProductSpec(((2, 2, -3, 1),), ("odd-staircase",))
-    if f == POD:
-        # (-q;q^2)_inf / (q^2;q^2)_inf = f2 / (f1 f4)
-        return ProductSpec(((2, 2, 1, 1), (1, 1, -1, 1), (4, 4, -1, 1)))
+# Published eta quotients {a: e_a} of the named families, prod f_a^e_a.
+_ETA_QUOTIENTS = {
+    "designated": {1: -1, 2: -1, 3: -1, 6: 1},  # f6/(f1 f2 f3), Andrews-Lewis-Lovejoy
+    "two-color": {1: -1, 2: -1},  # 1/(f1 f2)
+    "pod": {1: -1, 2: 1, 4: -1},  # f2/(f1 f4), Hirschhorn-Sellers
+    "overpartition": {1: -2, 2: 1},  # f2/f1^2
+    "staircase": {1: -1, 2: 2},  # psi(q) = f2^2/f1 (Gauss)
+    "odd-staircase": {1: -2, 2: 5, 4: -2},  # phi(q) = f2^5/(f1^2 f4^2) (Jacobi)
+}
+
+
+def generating_function(f: Family) -> dict[tuple[int, int], int]:
+    """{(a, b): e} such that f's generating function is prod (q^a; q^b)_inf^e.
+    Distinct parts use (-x; q)_inf = (x^2; q^2)_inf / (x; q)_inf."""
+    gf = Counter()
     if f.tag == "vector":
-        parts = [product_spec(g) for g in f.components]
-        return ProductSpec(sum((p.factors for p in parts), ()), sum((p.thetas for p in parts), ()))
-    if f.tag in ("mod-parts", "mod-distinct"):
-        exponent, sign = (-1, 1) if f.tag == "mod-parts" else (1, -1)
-        return ProductSpec(tuple((r or f.modulus, f.modulus, exponent, sign) for r in f.residues))
-    if f.tag == "overpartition":
-        return ProductSpec(((1, 1, 1, -1), (1, 1, -1, 1)))
-    if f.tag in _THETA_ETA:
-        return ProductSpec((), (f.tag,))
-    raise UnknownFamilyError(f"no product spec for family {f.tag}")
+        for g in f.components:
+            gf.update(generating_function(g))
+    elif f.tag in ("mod-parts", "mod-distinct"):
+        for r in f.residues:
+            a, b = r or f.modulus, f.modulus
+            gf[a, b] -= 1
+            if f.tag == "mod-distinct":
+                gf[2 * a, 2 * b] += 1
+    elif f.tag in _ETA_QUOTIENTS:
+        gf.update({(a, a): e for a, e in _ETA_QUOTIENTS[f.tag].items()})
+    else:
+        raise UnknownFamilyError(f"no generating function for family {f.tag}")
+    return {k: e for k, e in gf.items() if e}
 
 
 def family_series(f: Family, truncation: int) -> PowerSeries:
-    return build_series(product_spec(f), truncation)
-
-
-def a_series_direct(truncation: int) -> PowerSeries:
-    """Direct two-color form 1/((q;q)(q^2;q^2)), independent of the bijection."""
-    return build_series(ProductSpec(((1, 1, -1, 1), (2, 2, -1, 1))), truncation)
+    return build_series(generating_function(f), truncation)
 
 
 def scan_congruence(f: Family, bound: int, modulus: int = 3, residue: int = 2) -> list[int]:

@@ -152,6 +152,8 @@ def test_selftest(capsys):
         ("bijection", "--family", "pd", "--forward", "2+2"),
         ("bijection", "--family", "pd", "--inverse", "(1;0;0;0;0)"),
         ("orbits", "--family", "pd", "--n", "4"),
+        ("series", "--family", "p2_1,1", "--terms", "5"),
+        ("enumerate", "--family", "d2_1,1", "--n", "4"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -167,8 +169,12 @@ def test_usage_errors_exit_2(capsys, argv):
         ("verify", "--family", "pd", "--max-n", "-5"),
         ("enumerate", "--family", "pd", "--n", "-1"),
         ("orbits", "--family", "pd", "--n", "-1"),
+        ("verify", "--family", "pd", "--max-n", "20", "--ceiling", "-5"),
+        ("enumerate", "--family", "pd", "--n", "3", "--ceiling", "-1"),
+        ("orbits", "--family", "pd", "--n", "2", "--ceiling", "-1"),
     ],
-    ids=["series-terms", "verify-max-n", "enumerate-n", "orbits-n"],
+    ids=["series-terms", "verify-max-n", "enumerate-n", "orbits-n",
+         "verify-ceiling", "enumerate-ceiling", "orbits-ceiling"],
 )
 def test_negative_range_exits_2(capsys, argv):
     # a negative range is a usage error: no output, no "ok" for an unchecked range

@@ -149,6 +149,21 @@ def test_family_by_name():
         family_by_name("nope")
 
 
+def test_repeated_residues_rejected():
+    # p2_1,1 would count parts == 1 mod 2 twice in its product, once in enumeration
+    for tag in ("mod-parts", "mod-distinct"):
+        with pytest.raises(UnknownFamilyError):
+            Family(tag, 2, (1, 1))
+    for name in ("p2_1,1", "d2_1,1", "p5_4,1,4"):
+        with pytest.raises(UnknownFamilyError):
+            family_by_name(name)
+
+
+def test_count_family_negative_weight_is_zero():
+    for f in (ORDINARY, STAIRCASE, PD, POD2, PD_IMAGE):
+        assert count_family(f, -1) == 0
+
+
 # --- enumeration core -------------------------------------------------------
 
 CORE_FAMILIES = {**NAMED_FAMILIES, "pd-image": PD_IMAGE, "a-image": A_IMAGE,

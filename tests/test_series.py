@@ -2,27 +2,30 @@ import pytest
 
 from vrank.families import (
     A,
+    A_IMAGE,
     Family,
+    ODD_STAIRCASE,
     OP2,
     ORDINARY,
     OVERPARTITION,
     PD,
+    PD_IMAGE,
     POD,
     POD2,
+    POD2_IMAGE,
     NAMED_FAMILIES,
+    STAIRCASE,
     count_family,
     family_by_name,
 )
 from vrank.series import (
     PowerSeries,
-    ProductSpec,
     _apply_linear,
-    a_series_direct,
     build_series,
     family_series,
+    generating_function,
     odd_staircase_theta,
     one,
-    product_spec,
     scan_congruence,
     staircase_theta,
 )
@@ -51,14 +54,14 @@ def test_mul_commutes_and_associates():
 def test_geometric_series():
     # a single linear factor 1/(1-q) has every coefficient 1
     s = one(20)
-    _apply_linear(s.coeffs, 1, 1, -1)
+    _apply_linear(s.coeffs, 1, -1)
     assert s.coeffs == [1] * 21
 
 
 def test_inverse_product_cancels():
-    spec = ((2, 2, -3, 1),)
-    inv = ((2, 2, 3, 1),)
-    s = build_series(ProductSpec(spec), 50).mul(build_series(ProductSpec(inv), 50))
+    s = build_series({(2, 2): -3}, 50).mul(build_series({(2, 2): 3}, 50))
+    assert s == one(50)
+    s = build_series({(1, 3): -2}, 50).mul(build_series({(1, 3): 2}, 50))
     assert s == one(50)
 
 
@@ -85,16 +88,20 @@ def test_theta_spot_values_to_100():
 
 
 def test_distinct_triples_product():
-    # (-q^3;q^3)_inf counts partitions into distinct multiples of 3
-    s = build_series(ProductSpec(((3, 3, 1, -1),)), 12)
+    # (-q^3;q^3)_inf = f6/f3 counts partitions into distinct multiples of 3,
+    # equinumerous with partitions into odd multiples of 3, 1/(q^3;q^6)_inf
+    s = build_series({(3, 3): -1, (6, 6): 1}, 12)
     assert s[3] == 1
     assert s[9] == 2  # {9} and {3,6}
+    assert s == build_series({(3, 6): -1}, 12)
 
 
 @pytest.mark.parametrize(
     "f",
-    [PD, A, POD, POD2, OP2, ORDINARY, OVERPARTITION, Family("mod-parts", 2, (0,))],
-    ids=["pd", "a", "pod", "pod2", "op2", "ordinary", "op", "p2_0"],
+    [PD, A, POD, POD2, OP2, ORDINARY, OVERPARTITION, Family("mod-parts", 2, (0,)),
+     PD_IMAGE, A_IMAGE, POD2_IMAGE],
+    ids=["pd", "a", "pod", "pod2", "op2", "ordinary", "op", "p2_0",
+         "pd-image", "a-image", "pod2-image"],
 )
 def test_series_matches_enumeration(f):
     s = family_series(f, N_TEST)
@@ -109,8 +116,21 @@ def test_series_anchors():
 
 
 def test_a_identity():
-    # bijection-derived form vs the direct two-color product
-    assert family_series(A, 300) == a_series_direct(300)
+    # the direct two-color product 1/(f1 f2) vs the bijection's codomain form
+    assert family_series(A, 300) == family_series(A_IMAGE, 300)
+
+
+@pytest.mark.parametrize(
+    "f, image", [(PD, PD_IMAGE), (A, A_IMAGE), (POD2, POD2_IMAGE)], ids=["pd", "a", "pod2"]
+)
+def test_codomain_identities_to_3000(f, image):
+    # each bijection's codomain has its domain's generating function
+    assert family_series(image, 3000) == family_series(f, 3000)
+
+
+def test_theta_families_are_their_thetas():
+    assert family_series(STAIRCASE, 2000) == staircase_theta(2000)
+    assert family_series(ODD_STAIRCASE, 2000) == odd_staircase_theta(2000)
 
 
 def test_pod2_identity():
@@ -131,69 +151,98 @@ def test_congruence_scan_clean_to_3000(f):
 
 # --- the eta-quotient engine against the linear-factor sweeps ----------------
 
+# Test-local factor lists (a, b, exponent, sign), each (sign * q^a; q^b)_inf^exponent:
+# pd and a in their bijection codomain forms, pod in its defining product.
+_REFERENCE_FACTORS = {
+    "designated": ((3, 3, 1, -1), (2, 2, -3, 1)),  # (-q^3;q^3) / f2^3, times psi
+    "two-color": ((2, 2, -3, 1),),  # 1 / f2^3, times psi
+    "pod": ((1, 2, 1, -1), (2, 2, -1, 1)),  # (-q;q^2) / (q^2;q^2)
+    "overpartition": ((1, 1, 1, -1), (1, 1, -1, 1)),  # (-q;q) / (q;q)
+}
+_REFERENCE_THETAS = {"designated": staircase_theta, "two-color": staircase_theta,
+                     "staircase": staircase_theta, "odd-staircase": odd_staircase_theta}
+
+
+def _sweep(coeffs, k, sign, exponent):
+    """Multiply in place by (1 - sign*q^k)^exponent."""
+    n = len(coeffs) - 1
+    for _ in range(abs(exponent)):
+        if exponent > 0:
+            for i in range(n, k - 1, -1):
+                coeffs[i] -= sign * coeffs[i - k]
+        else:
+            for i in range(k, n + 1):
+                coeffs[i] += sign * coeffs[i - k]
+
+
 def _reference_series(f: Family, truncation: int) -> PowerSeries:
-    """One O(N) sweep per linear factor of every Pochhammer factor, thetas and
-    vector components by Cauchy product.  pod uses its defining product
-    (-q;q^2)_inf / (q^2;q^2)_inf, the other families their product_spec."""
-    if f.tag == "vector" and f != POD2:
-        s = one(truncation)
+    """One O(N) signed sweep per linear factor, thetas and vector components by
+    Cauchy product; shares no code with the eta-quotient engine."""
+    s = one(truncation)
+    if f.tag == "vector":
         for g in f.components:
             s = s.mul(_reference_series(g, truncation))
         return s
-    spec = ProductSpec(((1, 2, 1, -1), (2, 2, -1, 1))) if f == POD else product_spec(f)
-    s = one(truncation)
-    for a, b, exponent, sign in spec.factors:
+    if f.tag in ("mod-parts", "mod-distinct"):
+        exponent, sign = (-1, 1) if f.tag == "mod-parts" else (1, -1)
+        factors = tuple((r or f.modulus, f.modulus, exponent, sign) for r in f.residues)
+    else:
+        factors = _REFERENCE_FACTORS.get(f.tag, ())
+    for a, b, exponent, sign in factors:
         for k in range(a, truncation + 1, b):
-            _apply_linear(s.coeffs, k, sign, exponent)
-    thetas = {"staircase": staircase_theta, "odd-staircase": odd_staircase_theta}
-    for name in spec.thetas:
-        s = s.mul(thetas[name](truncation))
+            _sweep(s.coeffs, k, sign, exponent)
+    if f.tag in _REFERENCE_THETAS:
+        s = s.mul(_REFERENCE_THETAS[f.tag](truncation))
     return s
 
 
 @pytest.mark.parametrize(
     "name",
     ["pd", "a", "pod", "pod2", "op", "op2", "ordinary", "staircase", "odd-staircase",
-     "p5_1,4", "d3_0"],
+     "p5_1,4", "d3_0", "d2_1", "d3_1,2", "pd-image", "a-image", "pod2-image"],
 )
 def test_series_matches_linear_sweep_reference(name):
-    f = family_by_name(name)
+    images = {"pd-image": PD_IMAGE, "a-image": A_IMAGE, "pod2-image": POD2_IMAGE}
+    f = images[name] if name in images else family_by_name(name)
     assert family_series(f, 400) == _reference_series(f, 400)
 
 
 @pytest.mark.parametrize(
-    "f, eta",
+    "f, gf",
     [
-        (PD, {1: -1, 2: -1, 3: -1, 6: 1}),  # Andrews-Lewis-Lovejoy
-        (A, {1: -1, 2: -1}),
-        (POD, {1: -1, 2: 1, 4: -1}),  # Hirschhorn-Sellers
-        (POD2, {1: -2, 2: 2, 4: -2}),
-        (OP2, {1: -4, 2: 2}),
+        (PD, {(1, 1): -1, (2, 2): -1, (3, 3): -1, (6, 6): 1}),  # Andrews-Lewis-Lovejoy
+        (A, {(1, 1): -1, (2, 2): -1}),
+        (POD, {(1, 1): -1, (2, 2): 1, (4, 4): -1}),  # Hirschhorn-Sellers
+        (POD2, {(1, 1): -2, (2, 2): 2, (4, 4): -2}),
+        (OP2, {(1, 1): -4, (2, 2): 2}),
+        # three f2^-1, psi = f2^2/f1 or phi = f2^5/(f1^2 f4^2), and
+        # (-q^3;q^3) = f6/f3 sum to the quotients of pd, a and pod2
+        (PD_IMAGE, {(1, 1): -1, (2, 2): -1, (3, 3): -1, (6, 6): 1}),
+        (A_IMAGE, {(1, 1): -1, (2, 2): -1}),
+        (POD2_IMAGE, {(1, 1): -2, (2, 2): 2, (4, 4): -2}),
     ],
-    ids=["pd", "a", "pod", "pod2", "op2"],
+    ids=["pd", "a", "pod", "pod2", "op2", "pd-image", "a-image", "pod2-image"],
 )
-def test_eta_exponents_are_published_quotients(f, eta):
-    # exact for every truncation: the codomain specs of pd, a and pod2 fold to
-    # the published eta quotients of their families
-    assert product_spec(f).eta_exponents() == eta
+def test_eta_exponents_are_published_quotients(f, gf):
+    assert generating_function(f) == gf
 
 
 def test_thetas_equal_eta_forms():
     # psi(q) = f2^2 / f1 and phi(q) = f2^5 / (f1^2 f4^2), built from full eta factors
-    psi = ProductSpec(((2, 2, 2, 1), (1, 1, -1, 1)))
-    phi = ProductSpec(((2, 2, 5, 1), (1, 1, -2, 1), (4, 4, -2, 1)))
+    psi = {(1, 1): -1, (2, 2): 2}
+    phi = {(1, 1): -2, (2, 2): 5, (4, 4): -2}
     assert staircase_theta(2000) == build_series(psi, 2000)
     assert odd_staircase_theta(2000) == build_series(phi, 2000)
 
 
 def test_named_families_need_no_linear_sweep():
-    for f in NAMED_FAMILIES.values():
-        assert all(a == b for a, b, _, _ in product_spec(f).factors), f
+    for f in [*NAMED_FAMILIES.values(), PD_IMAGE, A_IMAGE, POD2_IMAGE]:
+        assert all(a == b for a, b in generating_function(f)), f
 
 
 def test_negative_truncation_rejected():
     with pytest.raises(ValueError):
-        build_series(ProductSpec(), -1)
+        build_series({}, -1)
     with pytest.raises(ValueError):
         family_series(PD, -3)
     assert family_series(PD, 0) == one(0)
