@@ -60,9 +60,8 @@ def _beta_set(p: Partition, size: int) -> list[int]:
 
 def _partition_from_levels(levels: list[int]) -> Partition:
     """Partition whose beta set (for len(levels) beads) is `levels`."""
-    asc = sorted(levels)
-    parts = [v - j for j, v in enumerate(asc)]
-    return tuple(v for v in reversed(parts) if v > 0)
+    parts = [v - j for j, v in enumerate(sorted(levels))]  # increasing: zeros first
+    return tuple(parts[parts.count(0):][::-1])
 
 
 def _doubled_quotient(levels: list[int]) -> Partition:
@@ -79,10 +78,16 @@ def _core(beads0: int, beads1: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _runner_counts(height: int, size: int) -> tuple[int, int]:
-    """Beads on runners 0 and 1 of the staircase of `height` with `size` beads."""
-    even = sum(1 for b in _beta_set(staircase(height), size) if b % 2 == 0)
-    return even, size - even
+def _runner_counts(height: int, parts0: int, parts1: int) -> tuple[int, int]:
+    """Beads on runners 0 and 1 of the staircase of `height`, for the fewest
+    beads (an even number) that leave room for `parts0` and `parts1` quotient
+    parts on runners 0 and 1."""
+    size = 2 * max(height, parts0 + parts1, 1)
+    while True:
+        even = sum(1 for b in _beta_set(staircase(height), size) if b % 2 == 0)
+        if even >= parts0 and size - even >= parts1:
+            return even, size - even
+        size += 2
 
 
 def phi(p: Partition) -> CoreQuotientTriple:
@@ -110,21 +115,22 @@ def phi(p: Partition) -> CoreQuotientTriple:
 
 
 def phi_inv(t: CoreQuotientTriple) -> Partition:
-    """Rebuild the partition from its 2-core and doubled 2-quotient."""
+    """Rebuild the partition from its 2-core and doubled 2-quotient.
+
+    Runner r's beads sit at positions 2j + r for its zero levels, then at
+    e + 2j + r for the part e of its doubled quotient at ascending index j.
+    """
     core, even_a, even_b = t
     if not is_staircase(core):
         raise InvalidPartitionError(f"core must be a staircase: {core}")
-    q0, q1 = halve(even_a), halve(even_b)
-    size = 2 * max(len(core), len(q0) + len(q1), 1)
-    while True:
-        c0, c1 = _runner_counts(len(core), size)
-        if c0 >= len(q0) and c1 >= len(q1):
-            break
-        size += 2
+    if any(e % 2 for e in even_a + even_b):
+        raise InvalidPartitionError(f"quotient parts must be even: {even_a}, {even_b}")
+    c0, c1 = _runner_counts(len(core), len(even_a), len(even_b))
     positions = []
-    for q, count, parity in ((q0, c0, 0), (q1, c1, 1)):
-        asc = [0] * (count - len(q)) + list(q[::-1])
-        positions += [2 * (v + j) + parity for j, v in enumerate(asc)]
+    for q, count, runner in ((even_a, c0, 0), (even_b, c1, 1)):
+        zeros = count - len(q)
+        positions += range(runner, 2 * zeros, 2)
+        positions += [e + 2 * j + runner for j, e in enumerate(reversed(q), zeros)]
     return _partition_from_levels(positions)
 
 

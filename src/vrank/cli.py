@@ -30,6 +30,9 @@ from .selftest import run_selftest
 
 BIJECTION_FAMILIES = {"pd": PD, "a": A, "pod2": POD2}
 VERIFY_FAMILIES = {"pd": PD, "a": A, "pod2": POD2, "op2": OP2}
+# verify's default --ceiling: the enumerate and orbits methods stop at this
+# weight unless asked for more.
+VERIFY_CEILING = 24
 
 
 class CliError(Exception):
@@ -113,7 +116,11 @@ def cmd_verify(args) -> int:
                     failures.append(f"enumerate: count({args.family}, {n}) = {c}")
         else:  # orbits
             for n in range(2, limit + 1, 3):
-                blocks = orbits.build_orbits(f, n, ceiling=args.ceiling)
+                try:
+                    blocks = orbits.build_orbits(f, n, ceiling=args.ceiling)
+                except orbits.OrbitError as e:  # a degenerate orbit or a failed round trip
+                    failures.append(f"orbits: {e}")
+                    continue
                 total = count_family(f, n, ceiling=args.ceiling)
                 if 3 * len(blocks) != total:
                     failures.append(f"orbits: {len(blocks)} orbits cover {total} elements at n={n}")
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(VERIFY_FAMILIES))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--method", choices=("series", "enumerate", "orbits", "all"), default="all")
-    p.add_argument("--ceiling", type=int, default=24)
+    p.add_argument("--ceiling", type=int, default=VERIFY_CEILING)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("series", help="dump generating-function coefficients as CSV")

@@ -23,7 +23,7 @@ from .families import (
     enumerate_family,
     format_element,
 )
-from .partition import count_residue3, split_by_residue3, union
+from .partition import Partition
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -39,27 +39,42 @@ def v_rank(v: VTuple) -> int:
 
 
 def classify_case(v: VTuple) -> str | None:
-    """Which residue class the orbit operator moves, or None if neither sum
-    of residue counts over the first three components is nonzero mod 3."""
-    s1 = sum(count_residue3(c, 1) for c in v.components[:3])
-    if s1 % 3 != 0:
+    """Which residue class the orbit operator moves: case 1 when the parts
+    == 1 mod 3 in the first three components number nonzero mod 3, else case 2
+    when the parts == 2 mod 3 do, else None.  One pass counts both."""
+    counts = [0, 0, 0]
+    for c in v.components[:3]:
+        for part in c:
+            counts[part % 3] += 1
+    if counts[1] % 3:
         return CASE1
-    s2 = sum(count_residue3(c, -1) for c in v.components[:3])
-    if s2 % 3 != 0:
+    if counts[2] % 3:
         return CASE2
     return None
 
 
 def o_hat(v: VTuple) -> VTuple:
-    """Cyclically shift the moved-residue subpartitions (s1,s2,s3) -> (s3,s1,s2)."""
+    """Cyclically shift the moved-residue subpartitions (s1,s2,s3) -> (s3,s1,s2).
+
+    With r the residue `classify_case` picks, new component i is its own parts
+    not == r mod 3 together with the parts == r mod 3 of component (i+2) mod 3,
+    sorted decreasing; components 4.. are untouched.  The counts of each
+    residue over the first three components do not change, so neither does
+    the case, and three steps return to v.
+    """
     case = classify_case(v)
     if case is None:
         raise OrbitError(f"orbit operator undefined for {v.components}")
-    residue = 1 if case == CASE1 else -1
-    splits = [split_by_residue3(c, residue) for c in v.components[:3]]
-    shifted = [splits[2].selected, splits[0].selected, splits[1].selected]
-    first3 = tuple(union(s.complement, moved) for s, moved in zip(splits, shifted))
+    r = 1 if case == CASE1 else 2
+    c0, c1, c2 = v.components[:3]
+    first3 = (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
     return VTuple(first3 + v.components[3:], v.spec)
+
+
+def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:
+    """The parts of `own` not == r mod 3 with the parts of `moved` == r mod 3."""
+    return tuple(sorted([p for p in own if p % 3 != r] + [p for p in moved if p % 3 == r],
+                        reverse=True))
 
 
 def rotate_o(v: VTuple) -> VTuple:
@@ -112,14 +127,20 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
         if x in seen:
             continue
         v = forward(x)
-        members = []
-        for _ in range(3):
-            y = inverse(v)
-            members.append((y, v, v_rank(v)))
+        y = inverse(v)
+        if y != x:
+            raise OrbitError(
+                f"round trip of {format_element(f, x)} at n={n} "
+                f"gives {format_element(f, y)}"
+            )
+        members = [(y, v, v_rank(v))]
+        for _ in range(2):  # o_hat^3 is the identity, so two steps close the orbit
             v = o_hat(v)
-        if len({m[0] for m in members}) != 3:
-            raise OrbitError(f"orbit of {format_element(f, x)} is degenerate")
-        seen.update(m[0] for m in members)
+            members.append((inverse(v), v, v_rank(v)))
+        block = {m[0] for m in members}
+        if len(block) != 3:
+            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")
+        seen |= block
         members.sort(key=lambda m: m[2] % 3)
         orbits.append(Orbit(tuple(members)))
     return orbits

@@ -86,7 +86,9 @@ def test_phi_inv_rejects_bad_input():
 
 
 # A copy of the earlier abacus, which rebuilds and sorts the full beta set on
-# every call, as a reference for the runner-reading kernels.
+# every call, as a reference for the runner-reading kernels.  Its phi_inv
+# halves the quotients and places level v at index j at 2 * (v + j) + runner,
+# where phi_inv places the doubled part at e + 2 * j + runner.
 
 def _reference_beta_set(p, size):
     parts = list(p) + [0] * (size - len(p))
@@ -112,6 +114,8 @@ def _reference_phi(p):
 
 def _reference_phi_inv(t):
     core, even_a, even_b = t
+    if not is_staircase(core):
+        raise InvalidPartitionError(f"core must be a staircase: {core}")
     q0, q1 = halve(even_a), halve(even_b)
     size = 2 * max(len(core), len(q0) + len(q1), 1)
     while True:
@@ -144,6 +148,24 @@ def test_phi_inv_keeps_its_validation():
         phi_inv(CoreQuotientTriple((1,), (3,), ()))  # odd part in a quotient
     with pytest.raises(InvalidPartitionError):
         phi_inv(CoreQuotientTriple((), (), (4, 1)))
+
+
+@pytest.mark.parametrize("kernel", [phi_inv, _reference_phi_inv], ids=["doubled", "halving"])
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ((2, 1, 1), (), ()),
+        ((3, 1), (2,), ()),
+        ((1,), (3,), ()),
+        ((), (), (4, 1)),
+        ((2, 1), (6, 5), (2,)),
+    ],
+    ids=["core-211", "core-31", "odd-a", "odd-b", "odd-a-long"],
+)
+def test_phi_inv_and_reference_reject_alike(kernel, triple):
+    # a non-staircase core or an odd quotient part is refused by both kernels
+    with pytest.raises(InvalidPartitionError):
+        kernel(CoreQuotientTriple(*triple))
 
 
 @st.composite

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from vrank.cli import main
+from vrank import orbits
+from vrank.cli import VERIFY_CEILING, build_parser, main
+from vrank.families import PD, parse_element
+
+CEILING = str(VERIFY_CEILING)
 
 
 def run(capsys, *argv):
@@ -101,9 +105,9 @@ def test_verify_reports_the_weights_it_checked(capsys):
     [
         ("10", "9", "a enumerate: checked n = 2, 5, 8 (--max-n 10)"),
         ("11", "10", "a enumerate: checked n = 2, 5, 8 (capped by --ceiling 10; --max-n 11)"),
-        ("1", "24", "a enumerate: checked no weight (--max-n 1)"),
-        ("11", "24", "a enumerate: checked n = 2, 5, 8, 11 (--max-n 11)"),
-        ("14", "24", "a enumerate: checked n = 2, 5, ..., 14 (--max-n 14)"),
+        ("1", CEILING, "a enumerate: checked no weight (--max-n 1)"),
+        ("11", CEILING, "a enumerate: checked n = 2, 5, 8, 11 (--max-n 11)"),
+        ("14", CEILING, "a enumerate: checked n = 2, 5, ..., 14 (--max-n 14)"),
     ],
 )
 def test_verify_range_line(capsys, max_n, ceiling, line):
@@ -113,6 +117,42 @@ def test_verify_range_line(capsys, max_n, ceiling, line):
     )
     assert code == 0
     assert out.splitlines() == [line, "a enumerate: ok"]
+
+
+def test_verify_ceiling_defaults_to_the_named_constant():
+    args = build_parser().parse_args(["verify", "--family", "a", "--max-n", "5"])
+    assert args.ceiling == VERIFY_CEILING
+
+
+def test_verify_degenerate_orbit_exits_1(capsys, monkeypatch):
+    # an identity operator makes every orbit degenerate: a verification
+    # failure with a witness per weight, not a usage error
+    monkeypatch.setattr(orbits, "o_hat", lambda v: v)
+    code, out, err = run(
+        capsys, "verify", "--family", "pd", "--max-n", "8", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pd orbits: FAIL",
+        "orbits: orbit of 1'+1 at n=2 is degenerate",
+        "orbits: orbit of 1'+1+1+1+1 at n=5 is degenerate",
+        "orbits: orbit of 1'+1+1+1+1+1+1+1 at n=8 is degenerate",
+    ]
+
+
+def test_verify_failed_round_trip_exits_1(capsys, monkeypatch):
+    forward, _, image = orbits.family_bijection(PD)
+    wrong = parse_element(PD, "2'")
+    monkeypatch.setitem(orbits._LAMBDAS, PD, (forward, lambda v: wrong, image))
+    code, out, _ = run(
+        capsys, "verify", "--family", "pd", "--max-n", "2", "--method", "orbits"
+    )
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "pd orbits: FAIL",
+        "orbits: round trip of 1'+1 at n=2 gives 2'",
+    ]
 
 
 def test_verify_op2_skips_orbits(capsys):

@@ -1,0 +1,119 @@
+"""Property tests for the bijections and the orbit operator at weights 50-300,
+far beyond the exhaustive range (n <= 24) of the other suites.
+
+Each strategy draws a weight, then an element of that weight: a designated
+partition, a two-color partition, or a pair of pod partitions.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from vrank.families import (
+    A,
+    DesignatedPartition,
+    PD,
+    POD2,
+    TwoColorPartition,
+    VTuple,
+    element_weight,
+    is_member,
+)
+from vrank.orbits import classify_case, family_bijection, o_hat, v_rank
+from vrank.partition import make_partition, scale2
+
+WEIGHTS = st.integers(50, 300)
+LARGE = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def partitions_of(draw, total):
+    """A partition of `total` into parts of at most 60: drawn parts, the last
+    one cut to fit, then parts of 60 and a remainder for what is left."""
+    left, parts = total, []
+    for v in draw(st.lists(st.integers(1, 60), max_size=30)):
+        if not left:
+            break
+        parts.append(min(v, left))
+        left -= parts[-1]
+    parts += [60] * (left // 60) + [left % 60] * (left % 60 > 0)
+    return make_partition(parts)
+
+
+def _pod(p):
+    """Merge each pair of equal odd parts into one even part: a partition of
+    the same weight whose odd parts are distinct."""
+    parts = []
+    for v in set(p):
+        m = p.count(v)
+        parts += [v] * (m % 2) + [2 * v] * (m // 2) if v % 2 else [v] * m
+    return make_partition(parts)
+
+
+@st.composite
+def designated_partitions(draw):
+    p = draw(partitions_of(draw(WEIGHTS)))
+    entries = []
+    for d in sorted(set(p), reverse=True):
+        m = p.count(d)
+        entries.append((d, m, draw(st.integers(1, m))))
+    return DesignatedPartition(tuple(entries))
+
+
+@st.composite
+def two_color_partitions(draw):
+    n = draw(WEIGHTS)
+    half_blue = draw(st.integers(0, n // 2))
+    red = draw(partitions_of(n - 2 * half_blue))
+    blue = scale2(draw(partitions_of(half_blue)))
+    return TwoColorPartition(red, blue)
+
+
+@st.composite
+def pod_pairs(draw):
+    n = draw(WEIGHTS)
+    first = draw(st.integers(0, n))
+    pair = (_pod(draw(partitions_of(first))), _pod(draw(partitions_of(n - first))))
+    return VTuple(pair, POD2)
+
+
+def check_bijection_and_orbit(family, x):
+    forward, inverse, image = family_bijection(family)
+    n = element_weight(family, x)
+    assert is_member(family, x) and 50 <= n <= 300
+    v = forward(x)
+    assert is_member(image, v)
+    assert v.weight == n
+    assert inverse(v) == x
+    case = classify_case(v)
+    if n % 3 == 2:
+        # no tail component carries weight == 2 mod 3, so the first three
+        # components carry a nonzero residue and the operator is defined
+        assert case is not None
+    if case is None:
+        return
+    orbit = [v, o_hat(v)]
+    orbit.append(o_hat(orbit[1]))
+    assert o_hat(orbit[2]) == v
+    assert all(classify_case(u) == case and u.weight == n for u in orbit)
+    assert {v_rank(u) % 3 for u in orbit} == {0, 1, 2}
+    pullbacks = [inverse(u) for u in orbit]
+    assert pullbacks[0] == x
+    assert len(set(pullbacks)) == 3
+    assert all(element_weight(family, y) == n for y in pullbacks)
+
+
+@LARGE
+@given(designated_partitions())
+def test_pd_at_large_weights(x):
+    check_bijection_and_orbit(PD, x)
+
+
+@LARGE
+@given(two_color_partitions())
+def test_a_at_large_weights(x):
+    check_bijection_and_orbit(A, x)
+
+
+@LARGE
+@given(pod_pairs())
+def test_pod2_at_large_weights(x):
+    check_bijection_and_orbit(POD2, x)

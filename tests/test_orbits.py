@@ -1,5 +1,6 @@
 import pytest
 
+from vrank import orbits as orbits_module
 from vrank.families import (
     A,
     A_IMAGE,
@@ -30,6 +31,7 @@ from vrank.orbits import (
     tail_condition_holds,
     v_rank,
 )
+from vrank.partition import count_residue3, split_by_residue3, union
 
 V14 = Family("vector", components=(ORDINARY, ORDINARY, ORDINARY, STAIRCASE))
 
@@ -97,6 +99,47 @@ def test_o_hat_properties_exhaustive(image, family):
             assert residues == {0, 1, 2}
 
 
+# A copy of the earlier split/union operator, as a reference for o_hat: it
+# counts residues with count_residue3, splits each of the first three
+# components by residue, and unions each complement with the shifted
+# selection.
+
+def _reference_case(v):
+    if sum(count_residue3(c, 1) for c in v.components[:3]) % 3:
+        return CASE1
+    if sum(count_residue3(c, -1) for c in v.components[:3]) % 3:
+        return CASE2
+    return None
+
+
+def _reference_o_hat(v):
+    case = _reference_case(v)
+    if case is None:
+        raise OrbitError(f"orbit operator undefined for {v.components}")
+    residue = 1 if case == CASE1 else -1
+    splits = [split_by_residue3(c, residue) for c in v.components[:3]]
+    shifted = [splits[2].selected, splits[0].selected, splits[1].selected]
+    first3 = tuple(union(s.complement, moved) for s, moved in zip(splits, shifted))
+    return VTuple(first3 + v.components[3:], v.spec)
+
+
+@pytest.mark.parametrize("image", [PD_IMAGE, A_IMAGE, POD2_IMAGE], ids=["pd", "a", "pod2"])
+def test_o_hat_matches_split_union_reference(image):
+    # every weight to 14, not only n == 2 mod 3, so case-None tuples occur
+    moved = 0
+    for n in range(15):
+        for v in enumerate_family(image, n):
+            case = classify_case(v)
+            assert case == _reference_case(v)
+            if case is None:
+                with pytest.raises(OrbitError):
+                    o_hat(v)
+                continue
+            assert o_hat(v) == _reference_o_hat(v)
+            moved += 1
+    assert moved > 0
+
+
 def test_rotate_o():
     s = (1,)
     v = VTuple(((2,), (4,), (6,), s), V14)
@@ -131,6 +174,33 @@ def test_build_orbits_pd_2():
     assert len(orbits) == 1
     elems = {format_element(PD, x) for x, _, _ in orbits[0].members}
     assert elems == {"2'", "1'+1", "1+1'"}
+
+
+def test_build_orbits_does_two_operator_steps_per_orbit(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return o_hat(v)
+
+    monkeypatch.setattr(orbits_module, "o_hat", counted)
+    orbits = build_orbits(PD, 8)
+    assert len(calls) == 2 * len(orbits) == 2 * count_family(PD, 8) // 3
+
+
+def test_build_orbits_names_a_degenerate_orbit(monkeypatch):
+    monkeypatch.setattr(orbits_module, "o_hat", lambda v: v)
+    with pytest.raises(OrbitError, match=r"orbit of 1'\+1 at n=2 is degenerate"):
+        build_orbits(PD, 2)
+
+
+def test_build_orbits_names_a_failed_round_trip(monkeypatch):
+    # an inverse that sends every tuple to 2' breaks the first pull-back
+    forward, _, image = orbits_module.family_bijection(PD)
+    wrong = parse_element(PD, "2'")
+    monkeypatch.setitem(orbits_module._LAMBDAS, PD, (forward, lambda v: wrong, image))
+    with pytest.raises(OrbitError, match=r"round trip of 1'\+1 at n=2 gives 2'"):
+        build_orbits(PD, 2)
 
 
 def test_build_orbits_rejects_wrong_residue():
