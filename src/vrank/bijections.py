@@ -12,18 +12,8 @@
 from functools import lru_cache
 from typing import NamedTuple
 
-from .families import (
-    A_IMAGE,
-    DesignatedPartition,
-    OddStaircase,
-    PD_IMAGE,
-    POD2,
-    POD2_IMAGE,
-    TwoColorPartition,
-    VTuple,
-)
+from .families import DesignatedPartition, OddStaircase, TwoColorPartition, VTuple
 from .partition import (
-    EMPTY,
     FrobeniusSymbol,
     InvalidPartitionError,
     Partition,
@@ -192,7 +182,7 @@ def lambda_pd(dp: DesignatedPartition) -> VTuple:
     alpha, beta = delta(dp)
     core, l1, l2 = phi(alpha)
     l3, l5 = psi(beta)
-    return VTuple((l1, l2, l3, core, l5), PD_IMAGE)
+    return VTuple((l1, l2, l3, core, l5))
 
 
 def lambda_pd_inv(v: VTuple) -> DesignatedPartition:
@@ -206,7 +196,7 @@ def lambda_pd_inv(v: VTuple) -> DesignatedPartition:
 
 def lambda_a(tc: TwoColorPartition) -> VTuple:
     core, l1, l2 = phi(tc.red)
-    return VTuple((l1, l2, tc.blue, core), A_IMAGE)
+    return VTuple((l1, l2, tc.blue, core))
 
 
 def lambda_a_inv(v: VTuple) -> TwoColorPartition:
@@ -288,10 +278,10 @@ def lambda_pod(b: VTuple) -> VTuple:
     l1, mu1 = _split_even_odd(first)
     l2, mu2 = _split_even_odd(second)
     pi, tri = wright(mu1, mu2)
-    return VTuple((l1, l2, pi, tri), POD2_IMAGE)
+    return VTuple((l1, l2, pi, tri))
 
 
 def lambda_pod_inv(v: VTuple) -> VTuple:
     l1, l2, pi, tri = v.components
     mu1, mu2 = wright_inv(WrightDecomposition(pi, tri))
-    return VTuple((union(l1, mu1), union(l2, mu2)), POD2)
+    return VTuple((union(l1, mu1), union(l2, mu2)))

@@ -8,16 +8,13 @@ import argparse
 import json
 import sys
 
-from . import bijections, orbits, series
+from . import orbits, series
 from .families import (
-    A,
     DEFAULT_CEILING,
+    NAMED_FAMILIES,
     ElementParseError,
     EnumerationLimitError,
     Family,
-    PD,
-    POD2,
-    OP2,
     UnknownFamilyError,
     count_family,
     enumerate_family,
@@ -28,8 +25,8 @@ from .families import (
 from .partition import InvalidPartitionError
 from .selftest import run_selftest
 
-BIJECTION_FAMILIES = {"pd": PD, "a": A, "pod2": POD2}
-VERIFY_FAMILIES = {"pd": PD, "a": A, "pod2": POD2, "op2": OP2}
+# verify's families, in argparse's order; bijection and orbits take those in orbits._LAMBDAS.
+CONGRUENCE_FAMILIES = ("a", "op2", "pd", "pod2")
 # verify's default --ceiling: the enumerate and orbits methods stop at this
 # weight unless asked for more.
 VERIFY_CEILING = 24
@@ -70,7 +67,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    f = BIJECTION_FAMILIES[args.family]
+    f = NAMED_FAMILIES[args.family]
     forward, inverse, image = orbits.family_bijection(f)
     if args.forward is not None:
         x = parse_element(f, args.forward)
@@ -82,7 +79,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    f = BIJECTION_FAMILIES[args.family]
+    f = NAMED_FAMILIES[args.family]
     n, ceiling = _nonnegative("--n", args.n), _nonnegative("--ceiling", args.ceiling)
     decomposition = orbits.build_orbits(f, n, ceiling=ceiling)
     if args.format == "json":
@@ -93,13 +90,13 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f = VERIFY_FAMILIES[args.family]
+    f = NAMED_FAMILIES[args.family]
     _nonnegative("--max-n", args.max_n)
     _nonnegative("--ceiling", args.ceiling)
     methods = ["series", "enumerate", "orbits"] if args.method == "all" else [args.method]
-    if f is OP2 and "orbits" in methods:
+    if f not in orbits._LAMBDAS and "orbits" in methods:
         if args.method == "orbits":
-            raise CliError("no orbit construction available for family op2")
+            raise CliError(f"no orbit construction available for family {args.family}")
         methods.remove("orbits")
     failures = []
     for method in methods:
@@ -162,6 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         "congruence verification.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    with_bijection = tuple(
+        name for name in CONGRUENCE_FAMILIES if NAMED_FAMILIES[name] in orbits._LAMBDAS
+    )
 
     p = sub.add_parser("enumerate", help="list a family's weight-n slice")
     p.add_argument("--family", required=True)
@@ -171,21 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("bijection", help="apply a family bijection or its inverse")
-    p.add_argument("--family", required=True, choices=sorted(BIJECTION_FAMILIES))
+    p.add_argument("--family", required=True, choices=with_bijection)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--forward", metavar="ELEMENT")
     group.add_argument("--inverse", metavar="TUPLE")
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a weight slice")
-    p.add_argument("--family", required=True, choices=sorted(BIJECTION_FAMILIES))
+    p.add_argument("--family", required=True, choices=with_bijection)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("verify", help="check the mod-3 congruence")
-    p.add_argument("--family", required=True, choices=sorted(VERIFY_FAMILIES))
+    p.add_argument("--family", required=True, choices=CONGRUENCE_FAMILIES)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--method", choices=("series", "enumerate", "orbits", "all"), default="all")
     p.add_argument("--ceiling", type=int, default=VERIFY_CEILING)

@@ -15,7 +15,7 @@ and returns a new list.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterator
@@ -25,11 +25,8 @@ from .partition import (
     Partition,
     InvalidPartitionError,
     check_partition,
-    format_partition,
     is_staircase,
-    parse_partition,
     staircase,
-    weight,
 )
 
 DEFAULT_CEILING = 40
@@ -155,11 +152,10 @@ class OddStaircase:
 @dataclass(frozen=True)
 class VTuple:
     components: tuple[Any, ...]
-    spec: Family = field(compare=False)
 
     @property
     def weight(self) -> int:
-        return sum(element_weight(f, c) for f, c in zip(self.spec.components, self.components))
+        return sum(sum(c) if isinstance(c, tuple) else c.weight for c in self.components)
 
 
 def element_weight(f: Family, x: Any) -> int:
@@ -171,10 +167,12 @@ def element_weight(f: Family, x: Any) -> int:
 # --- text grammar -----------------------------------------------------------
 
 def format_element(f: Family, x: Any) -> str:
+    """A vector is `(c1;c2;...)`; any other element is its tokens joined by
+    `+`, or `0` when it has none."""
     tag = f.tag
     if tag in ("mod-parts", "mod-distinct", "staircase", "pod"):
-        return format_partition(x)
-    if tag == "overpartition":
+        toks = map(str, x)
+    elif tag == "overpartition":
         toks, seen = [], set()
         for v in x.parts:
             if v in x.overlined and v not in seen:
@@ -182,66 +180,60 @@ def format_element(f: Family, x: Any) -> str:
                 seen.add(v)
             else:
                 toks.append(str(v))
-        return "+".join(toks) if toks else "0"
-    if tag == "odd-staircase":
-        if x.height == 0:
-            return "0"
+    elif tag == "odd-staircase":
         toks = [str(v) for v in x.parts]
         if x.one_overlined:
             toks[-1] += "~"
-        return "+".join(toks)
-    if tag == "designated":
+    elif tag == "designated":
         toks = []
         for d, m, i in x.entries:
             toks.extend(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
-        return "+".join(toks) if toks else "0"
-    if tag == "two-color":
+    elif tag == "two-color":
         pairs = [(v, "r") for v in x.red] + [(v, "b") for v in x.blue]
         pairs.sort(key=lambda p: (-p[0], p[1]))
-        return "+".join(f"{v}{c}" for v, c in pairs) if pairs else "0"
-    if tag == "vector":
+        toks = [f"{v}{c}" for v, c in pairs]
+    elif tag == "vector":
         inner = ";".join(format_element(g, c) for g, c in zip(f.components, x.components))
         return f"({inner})"
-    raise UnknownFamilyError(f.tag)
+    else:
+        raise UnknownFamilyError(f.tag)
+    return "+".join(toks) or "0"
 
 
 def parse_element(f: Family, s: str) -> Any:
     s = s.strip()
     tag = f.tag
+    if tag == "vector":
+        if not (s.startswith("(") and s.endswith(")")):
+            raise ElementParseError(f"vector text must be parenthesized: {s!r}")
+        texts = s[1:-1].split(";")
+        if len(texts) != len(f.components):
+            raise ElementParseError(
+                f"expected {len(f.components)} components in {s!r}, got {len(texts)}"
+            )
+        return VTuple(tuple(parse_element(g, t) for g, t in zip(f.components, texts)))
+    toks = [] if s == "0" else s.split("+")
     if tag in ("mod-parts", "mod-distinct", "staircase", "pod"):
-        p = parse_partition(s)
-        require_member(f, p)
-        return p
-    if tag == "overpartition":
-        if s == "0":
-            return Overpartition(EMPTY, ())
+        x = check_partition(tuple(_parse_int(tok, s) for tok in toks))
+    elif tag == "overpartition":
         parts, over = [], []
-        for tok in s.split("+"):
+        for tok in toks:
+            parts.append(_parse_int(tok.removesuffix("~"), s))
             if tok.endswith("~"):
-                v = _parse_int(tok[:-1], s)
-                over.append(v)
-            else:
-                v = _parse_int(tok, s)
-            parts.append(v)
+                over.append(parts[-1])
         x = Overpartition(check_partition(tuple(parts)), tuple(sorted(set(over), reverse=True)))
-        require_member(f, x)
-        return x
-    if tag == "odd-staircase":
-        if s == "0":
-            return OddStaircase(0)
-        over = s.endswith("~")
-        p = parse_partition(s[:-1] if over else s)
-        x = OddStaircase(len(p), over)
-        if x.parts != p:
+    elif tag == "odd-staircase":
+        over = bool(toks) and toks[-1].endswith("~")
+        if over:
+            toks[-1] = toks[-1][:-1]
+        x = OddStaircase(len(toks), over)
+        if x.parts != tuple(_parse_int(tok, s) for tok in toks):
             raise ElementParseError(f"not an odd staircase: {s!r}")
-        return x
-    if tag == "designated":
-        if s == "0":
-            return DesignatedPartition(())
+    elif tag == "designated":
         runs: list[list[int]] = []  # [magnitude, multiplicity, index]
-        for tok in s.split("+"):
+        for tok in toks:
             desig = tok.endswith("'")
-            v = _parse_int(tok[:-1] if desig else tok, s)
+            v = _parse_int(tok.removesuffix("'"), s)
             if runs and runs[-1][0] == v:
                 runs[-1][1] += 1
                 if desig:
@@ -255,13 +247,9 @@ def parse_element(f: Family, s: str) -> Any:
         if any(i == 0 for _, _, i in runs):
             raise ElementParseError(f"missing designation in {s!r}")
         x = DesignatedPartition(tuple((d, m, i) for d, m, i in runs))
-        require_member(f, x)
-        return x
-    if tag == "two-color":
-        if s == "0":
-            return TwoColorPartition(EMPTY, EMPTY)
+    elif tag == "two-color":
         red, blue = [], []
-        for tok in s.split("+"):
+        for tok in toks:
             color = tok[-1:]
             if color not in ("r", "b"):
                 raise ElementParseError(f"missing color on {tok!r} in {s!r}")
@@ -269,20 +257,9 @@ def parse_element(f: Family, s: str) -> Any:
         x = TwoColorPartition(
             tuple(sorted(red, reverse=True)), tuple(sorted(blue, reverse=True))
         )
-        require_member(f, x)
-        return x
-    if tag == "vector":
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ElementParseError(f"vector text must be parenthesized: {s!r}")
-        toks = s[1:-1].split(";")
-        if len(toks) != len(f.components):
-            raise ElementParseError(
-                f"expected {len(f.components)} components in {s!r}, got {len(toks)}"
-            )
-        return VTuple(
-            tuple(parse_element(g, t) for g, t in zip(f.components, toks)), f
-        )
-    raise UnknownFamilyError(f.tag)
+    else:
+        raise UnknownFamilyError(f.tag)
+    return require_member(f, x)
 
 
 def _parse_int(tok: str, ctx: str) -> int:
@@ -456,7 +433,7 @@ def _text_slice(f: Family, n: int) -> Slice:
             )
         ]
         pairs.sort(key=itemgetter(0))
-        return tuple(t for t, _ in pairs), tuple(VTuple(combo, f) for _, combo in pairs)
+        return tuple(t for t, _ in pairs), tuple(VTuple(combo) for _, combo in pairs)
     pairs = [(format_element(f, x), x) for x in _generate(f, n)]
     pairs.sort(key=itemgetter(0))
     return tuple(t for t, _ in pairs), tuple(x for _, x in pairs)

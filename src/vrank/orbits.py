@@ -14,16 +14,19 @@ from typing import Any, Callable
 from . import bijections
 from .families import (
     A,
+    A_IMAGE,
     DEFAULT_CEILING,
     Family,
     PD,
+    PD_IMAGE,
     POD2,
+    POD2_IMAGE,
     VTuple,
     count_family,
     enumerate_family,
     format_element,
 )
-from .partition import Partition
+from .partition import InvalidPartitionError, Partition
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -68,7 +71,7 @@ def o_hat(v: VTuple) -> VTuple:
     r = 1 if case == CASE1 else 2
     c0, c1, c2 = v.components[:3]
     first3 = (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
-    return VTuple(first3 + v.components[3:], v.spec)
+    return VTuple(first3 + v.components[3:])
 
 
 def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:
@@ -80,7 +83,7 @@ def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:
 def rotate_o(v: VTuple) -> VTuple:
     """The plain component rotation of Remark-style orbit building."""
     c = v.components
-    return VTuple((c[2], c[0], c[1]) + c[3:], v.spec)
+    return VTuple((c[2], c[0], c[1]) + c[3:])
 
 
 def tail_condition_holds(spec: Family, j: int, bound: int) -> bool:
@@ -94,9 +97,9 @@ def tail_condition_holds(spec: Family, j: int, bound: int) -> bool:
 
 
 _LAMBDAS: dict[Family, tuple[Callable, Callable, Family]] = {
-    PD: (bijections.lambda_pd, bijections.lambda_pd_inv, bijections.PD_IMAGE),
-    A: (bijections.lambda_a, bijections.lambda_a_inv, bijections.A_IMAGE),
-    POD2: (bijections.lambda_pod, bijections.lambda_pod_inv, bijections.POD2_IMAGE),
+    PD: (bijections.lambda_pd, bijections.lambda_pd_inv, PD_IMAGE),
+    A: (bijections.lambda_a, bijections.lambda_a_inv, A_IMAGE),
+    POD2: (bijections.lambda_pod, bijections.lambda_pod_inv, POD2_IMAGE),
 }
 
 
@@ -126,17 +129,20 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     for x in elements:  # already in canonical text order
         if x in seen:
             continue
-        v = forward(x)
-        y = inverse(v)
-        if y != x:
-            raise OrbitError(
-                f"round trip of {format_element(f, x)} at n={n} "
-                f"gives {format_element(f, y)}"
-            )
-        members = [(y, v, v_rank(v))]
-        for _ in range(2):  # o_hat^3 is the identity, so two steps close the orbit
-            v = o_hat(v)
-            members.append((inverse(v), v, v_rank(v)))
+        try:
+            v = forward(x)
+            y = inverse(v)
+            if y != x:
+                raise OrbitError(
+                    f"round trip of {format_element(f, x)} at n={n} "
+                    f"gives {format_element(f, y)}"
+                )
+            members = [(y, v, v_rank(v))]
+            for _ in range(2):  # o_hat^3 is the identity, so two steps close the orbit
+                v = o_hat(v)
+                members.append((inverse(v), v, v_rank(v)))
+        except InvalidPartitionError as e:  # an image outside the codomain
+            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} fails: {e}") from e
         block = {m[0] for m in members}
         if len(block) != 3:
             raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")

@@ -1,0 +1,32 @@
+"""The names the benchmark harness in `benchmarks/` reads from vrank.
+
+`tracer.Instrumentation()` raises when a traced function no longer resolves
+or a reference to one is left unwrapped, so a rename that would break traced
+benchmark runs fails here.  Nothing under `benchmarks/` is edited.
+"""
+
+import importlib.util
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_and_wrap():
+    tracer = _load("tracer")
+    instrumentation = tracer.Instrumentation()
+    try:
+        assert len(instrumentation.installed) == len(tracer.TARGETS)
+    finally:
+        instrumentation.restore()
+
+
+def test_workloads_read_cli_and_families():
+    workloads = _load("workloads")
+    assert workloads.verify_elements("small") > 0

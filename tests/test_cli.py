@@ -4,7 +4,8 @@ import pytest
 
 from vrank import orbits
 from vrank.cli import VERIFY_CEILING, build_parser, main
-from vrank.families import PD, parse_element
+from vrank.families import PD, VTuple, parse_element
+from vrank.partition import union
 
 CEILING = str(VERIFY_CEILING)
 
@@ -152,6 +153,25 @@ def test_verify_failed_round_trip_exits_1(capsys, monkeypatch):
     assert out.splitlines()[1:] == [
         "pd orbits: FAIL",
         "orbits: round trip of 1'+1 at n=2 gives 2'",
+    ]
+
+
+def test_verify_operator_image_outside_codomain_exits_1(capsys, monkeypatch):
+    # an o_hat that adds a part 3 gives tuples no inverse accepts: each weight
+    # fails with its first element as the witness, not a usage error
+    def add_part_3(v):
+        return VTuple((union(v.components[0], (3,)),) + v.components[1:])
+
+    monkeypatch.setattr(orbits, "o_hat", add_part_3)
+    code, out, err = run(
+        capsys, "verify", "--family", "pd", "--max-n", "5", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pd orbits: FAIL",
+        "orbits: orbit of 1'+1 at n=2 fails: quotient parts must be even: (3, 2), ()",
+        "orbits: orbit of 1'+1+1+1+1 at n=5 fails: quotient parts must be even: (3,), (2, 2)",
     ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -128,6 +129,26 @@ def test_grammar_examples():
     assert pair.components == ((2, 1), (2,))
 
 
+GRAMMAR_FAMILIES = [
+    *NAMED_FAMILIES.values(), PD_IMAGE, A_IMAGE, POD2_IMAGE,
+    family_by_name("d3_0"), family_by_name("p5_1,4"),
+]
+# sha256 of the enumeration text of GRAMMAR_FAMILIES at weights 0..12, in
+# that order, one element per line; pins every tag's canonical text form.
+GRAMMAR_SHA256 = "b6a9ed6930e7ca79f7da4658f9fb6d12fe626f035791734d7446f469e721cf9f"
+
+
+def test_grammar_is_pinned():
+    digest = hashlib.sha256()
+    for f in GRAMMAR_FAMILIES:
+        for n in range(13):
+            for x in enumerate_family(f, n):
+                text = format_element(f, x)
+                assert parse_element(f, text) == x
+                digest.update((text + "\n").encode())
+    assert digest.hexdigest() == GRAMMAR_SHA256
+
+
 def test_grammar_rejects_garbage():
     for f, bad in [
         (PD, "2+2"),           # no designation
@@ -136,6 +157,11 @@ def test_grammar_rejects_garbage():
         (A, "2x"),
         (POD2, "2+1;2"),
         (ORDINARY, "1+2"),
+        (ORDINARY, "1~"),            # an overline outside its families
+        (ODD_STAIRCASE, "5+3~+1"),   # the overline only on the last 1
+        (ODD_STAIRCASE, "1~~"),
+        (OVERPARTITION, "2~+3"),
+        (PD, "0'"),                  # "0" is the whole empty element, not a part
     ]:
         with pytest.raises(ValueError):
             parse_element(f, bad)
@@ -175,7 +201,7 @@ def _split_products(f, n):
     for split in _weight_splits(n, len(f.components)):
         pools = [list(_generate(g, w)) for g, w in zip(f.components, split)]
         for combo in itertools.product(*pools):
-            yield VTuple(combo, f)
+            yield VTuple(combo)
 
 
 @pytest.mark.parametrize("name", sorted(CORE_FAMILIES))

@@ -72,7 +72,7 @@ def pod_pairs(draw):
     n = draw(WEIGHTS)
     first = draw(st.integers(0, n))
     pair = (_pod(draw(partitions_of(first))), _pod(draw(partitions_of(n - first))))
-    return VTuple(pair, POD2)
+    return VTuple(pair)
 
 
 def check_bijection_and_orbit(family, x):
