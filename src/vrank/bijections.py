@@ -7,6 +7,12 @@
 * lambda_pd, lambda_a, lambda_pod: the full pipelines into V-tuples.
 * wright / wright_inv: the modified Wright map between pairs of distinct-odd
   partitions and (even partition, odd staircase with optional overline).
+
+The pipelines factor an element into independent components, so exhaustive
+slices feed phi, psi and wright (and their inverses) the same component many
+times.  Those six kernels are pure and return immutable values, so each keeps
+an `lru_cache` of its last `KERNEL_CACHE_SIZE` distinct arguments; an input a
+kernel rejects is not cached and raises again on every call.
 """
 
 from functools import lru_cache
@@ -27,6 +33,11 @@ from .partition import (
     to_frobenius,
     union,
 )
+
+
+# Distinct arguments each component kernel remembers: enough for every
+# argument `verify` meets at the default ceiling, and a cap on memory above it.
+KERNEL_CACHE_SIZE = 1 << 14
 
 
 class CoreQuotientTriple(NamedTuple):
@@ -80,6 +91,7 @@ def _runner_counts(height: int, parts0: int, parts1: int) -> tuple[int, int]:
         size += 2
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def phi(p: Partition) -> CoreQuotientTriple:
     """2-core and doubled 2-quotient, via beads on two runners.
 
@@ -104,6 +116,7 @@ def phi(p: Partition) -> CoreQuotientTriple:
     )
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def phi_inv(t: CoreQuotientTriple) -> Partition:
     """Rebuild the partition from its 2-core and doubled 2-quotient.
 
@@ -136,35 +149,49 @@ def delta(dp: DesignatedPartition) -> tuple[Partition, Partition]:
         else:
             beta.extend([d] * i)
             alpha.extend([d] * (m - i))
-    return tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
+    return tuple(alpha), tuple(beta)  # entries run in decreasing magnitude
+
+
+def _multiplicities(p: Partition) -> dict[int, int]:
+    """Magnitude -> multiplicity, in one pass; a partition's magnitudes come
+    out decreasing."""
+    counts: dict[int, int] = {}
+    for v in p:
+        counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 def delta_inv(alpha: Partition, beta: Partition) -> DesignatedPartition:
-    for d in set(beta):
-        if beta.count(d) < 2:
+    in_beta = _multiplicities(beta)
+    for d, b in in_beta.items():
+        if b < 2:
             raise InvalidPartitionError(f"beta magnitude {d} occurs once")
+    in_alpha = _multiplicities(alpha)
     entries = []
-    for d in sorted(set(alpha) | set(beta), reverse=True):
-        a, b = alpha.count(d), beta.count(d)
-        entries.append((d, a + b, b if b else 1))
+    for d in sorted(in_alpha.keys() | in_beta.keys(), reverse=True):
+        b = in_beta.get(d, 0)
+        entries.append((d, in_alpha.get(d, 0) + b, b or 1))
     return DesignatedPartition(tuple(entries))
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def psi(beta: Partition) -> tuple[Partition, Partition]:
-    """Repack a multiplicity->=2 partition as (even parts, distinct triples)."""
+    """Repack a multiplicity->=2 partition as (even parts, distinct triples).
+
+    Magnitudes are visited in decreasing order, so both outputs come out
+    decreasing."""
     even_part, triples = [], []
-    for d in sorted(set(beta), reverse=True):
-        m = beta.count(d)
+    for d, m in _multiplicities(beta).items():
         if m < 2:
             raise InvalidPartitionError(f"magnitude {d} occurs once in {beta}")
-        if m % 2 == 0:
-            even_part.extend([2 * d] * (m // 2))
-        else:
+        if m % 2:
             triples.append(3 * d)
-            even_part.extend([2 * d] * ((m - 3) // 2))
-    return tuple(sorted(even_part, reverse=True)), tuple(sorted(triples, reverse=True))
+            m -= 3
+        even_part.extend([2 * d] * (m // 2))
+    return tuple(even_part), tuple(triples)
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def psi_inv(even_part: Partition, triples: Partition) -> Partition:
     if len(set(triples)) != len(triples) or any(v % 3 for v in triples):
         raise InvalidPartitionError(f"triples must be distinct multiples of 3: {triples}")
@@ -212,6 +239,7 @@ def _odd_distinct_halves(mu: Partition) -> list[int]:
     return [(v - 1) // 2 for v in mu]
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def wright(mu1: Partition, mu2: Partition) -> WrightDecomposition:
     """Map a pair of distinct-odd partitions to (even partition, odd staircase).
 
@@ -235,6 +263,7 @@ def wright(mu1: Partition, mu2: Partition) -> WrightDecomposition:
     return WrightDecomposition(pi, OddStaircase(k, True))
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def wright_inv(w: WrightDecomposition) -> tuple[Partition, Partition]:
     """Invert `wright`.
 
@@ -267,10 +296,10 @@ def wright_inv(w: WrightDecomposition) -> tuple[Partition, Partition]:
 # --- POD bipartitions -------------------------------------------------------
 
 def _split_even_odd(p: Partition) -> tuple[Partition, Partition]:
-    return (
-        tuple(v for v in p if v % 2 == 0),
-        tuple(v for v in p if v % 2 == 1),
-    )
+    even, odd = [], []
+    for v in p:
+        (odd if v % 2 else even).append(v)
+    return tuple(even), tuple(odd)
 
 
 def lambda_pod(b: VTuple) -> VTuple:

@@ -207,6 +207,8 @@ def parse_element(f: Family, s: str) -> Any:
         if not (s.startswith("(") and s.endswith(")")):
             raise ElementParseError(f"vector text must be parenthesized: {s!r}")
         texts = s[1:-1].split(";")
+        if any(t != t.strip() for t in texts):
+            raise ElementParseError(f"space around a component in {s!r}")
         if len(texts) != len(f.components):
             raise ElementParseError(
                 f"expected {len(f.components)} components in {s!r}, got {len(texts)}"
@@ -218,10 +220,13 @@ def parse_element(f: Family, s: str) -> Any:
     elif tag == "overpartition":
         parts, over = [], []
         for tok in toks:
-            parts.append(_parse_int(tok.removesuffix("~"), s))
+            v = _parse_int(tok.removesuffix("~"), s)
             if tok.endswith("~"):
-                over.append(parts[-1])
-        x = Overpartition(check_partition(tuple(parts)), tuple(sorted(set(over), reverse=True)))
+                if parts and parts[-1] == v:
+                    raise ElementParseError(f"the overline of {v} goes on its first copy in {s!r}")
+                over.append(v)
+            parts.append(v)
+        x = Overpartition(check_partition(tuple(parts)), tuple(over))
     elif tag == "odd-staircase":
         over = bool(toks) and toks[-1].endswith("~")
         if over:
@@ -263,10 +268,13 @@ def parse_element(f: Family, s: str) -> Any:
 
 
 def _parse_int(tok: str, ctx: str) -> int:
+    """A part written as `str` writes it: no sign, padding, leading zero or `_`."""
     try:
         v = int(tok)
     except ValueError as e:
         raise ElementParseError(f"bad token {tok!r} in {ctx!r}") from e
+    if str(v) != tok:
+        raise ElementParseError(f"non-canonical token {tok!r} in {ctx!r}")
     if v < 1:
         raise ElementParseError(f"parts must be positive, got {tok!r} in {ctx!r}")
     return v

@@ -54,13 +54,15 @@ def weight(p: Partition) -> int:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Ferrers graph.  Involution, weight preserving."""
-    if not p:
-        return EMPTY
-    cols = [0] * p[0]
-    for v in p:
-        for i in range(v):
-            cols[i] += 1
+    """Transpose of the Ferrers graph.  Involution, weight preserving.
+
+    Column i has k cells for p[k] <= i < p[k - 1] (p[len(p)] = 0), so the
+    columns are written from the last part up, in O(len(p) + p[0]) steps."""
+    cols: list[int] = []
+    below = 0
+    for k in range(len(p), 0, -1):
+        cols.extend([k] * (p[k - 1] - below))
+        below = p[k - 1]
     return tuple(cols)
 
 
@@ -117,14 +119,22 @@ def all_parts_even(p: Partition) -> bool:
 
 
 def to_frobenius(p: Partition) -> FrobeniusSymbol:
-    """Arm/leg lengths read off the Ferrers diagonal."""
-    conj = conjugate(p)
+    """Arm/leg lengths read off the Ferrers diagonal.
+
+    Only the first d column lengths are needed (d the Durfee size); column i
+    has as many cells as p has parts > i, found by walking a cursor up from
+    the last part, in O(len(p) + d) steps."""
     d = 0
     while d < len(p) and p[d] > d:
         d += 1
     top = tuple(p[i] - i - 1 for i in range(d))
-    bottom = tuple(conj[i] - i - 1 for i in range(d))
-    return FrobeniusSymbol(top, bottom)
+    bottom = []
+    k = len(p)  # parts p[:k] are the ones > i
+    for i in range(d):
+        while p[k - 1] <= i:
+            k -= 1
+        bottom.append(k - i - 1)
+    return FrobeniusSymbol(top, tuple(bottom))
 
 
 def check_frobenius(f: FrobeniusSymbol) -> FrobeniusSymbol:

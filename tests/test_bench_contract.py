@@ -27,6 +27,24 @@ def test_tracer_targets_resolve_and_wrap():
         instrumentation.restore()
 
 
+def test_traced_roundtrip_reaches_every_expected_layer():
+    # a traced run fails when a layer its workload must use records no calls;
+    # the memoized bijection kernels must still leave partition calls behind
+    run = _load("run")
+    tracer = _load("tracer")
+    workloads = _load("workloads")
+    instrumentation = tracer.Instrumentation()
+    try:
+        tally = workloads.roundtrip("small")
+    finally:
+        instrumentation.restore()
+    assert tally.attempted > 0 and tally.failed == 0
+    layers = instrumentation.layer_metrics()
+    for key in run.EXPECTED_CALLS["roundtrip"]:
+        assert layers[key] > 0, key
+    assert layers["bijections.roundtrip_failed"] == 0
+
+
 def test_workloads_read_cli_and_families():
     workloads = _load("workloads")
     assert workloads.verify_elements("small") > 0

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from vrank import bijections
 from vrank.bijections import (
+    KERNEL_CACHE_SIZE,
     CoreQuotientTriple,
     WrightDecomposition,
+    _split_even_odd,
     delta,
     delta_inv,
     lambda_a,
@@ -42,6 +45,7 @@ from vrank.partition import (
     is_staircase,
     make_partition,
     scale2,
+    union,
     weight,
 )
 
@@ -368,3 +372,182 @@ def test_wright_round_trip_exhaustive():
 def test_wright_inv_rejects_odd_pi():
     with pytest.raises(InvalidPartitionError):
         wright_inv(WrightDecomposition((3,), OddStaircase(0)))
+
+
+# --- run-length kernels against the per-magnitude .count() copies -----------
+
+def _reference_delta(dp):
+    alpha, beta = [], []
+    for d, m, i in dp.entries:
+        if i == 1:
+            alpha.extend([d] * m)
+        else:
+            beta.extend([d] * i)
+            alpha.extend([d] * (m - i))
+    return tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
+
+
+def _reference_delta_inv(alpha, beta):
+    for d in set(beta):
+        if beta.count(d) < 2:
+            raise InvalidPartitionError(f"beta magnitude {d} occurs once")
+    entries = []
+    for d in sorted(set(alpha) | set(beta), reverse=True):
+        a, b = alpha.count(d), beta.count(d)
+        entries.append((d, a + b, b if b else 1))
+    return DesignatedPartition(tuple(entries))
+
+
+def _reference_psi(beta):
+    even_part, triples = [], []
+    for d in sorted(set(beta), reverse=True):
+        m = beta.count(d)
+        if m < 2:
+            raise InvalidPartitionError(f"magnitude {d} occurs once in {beta}")
+        if m % 2 == 0:
+            even_part.extend([2 * d] * (m // 2))
+        else:
+            triples.append(3 * d)
+            even_part.extend([2 * d] * ((m - 3) // 2))
+    return tuple(sorted(even_part, reverse=True)), tuple(sorted(triples, reverse=True))
+
+
+def _reference_split_even_odd(p):
+    return tuple(v for v in p if v % 2 == 0), tuple(v for v in p if v % 2 == 1)
+
+
+def _outcome(kernel, *args):
+    """The kernel's value, or the exception type it raised."""
+    try:
+        return kernel(*args)
+    except InvalidPartitionError as e:
+        return type(e)
+
+
+def test_delta_and_psi_match_reference_exhaustive():
+    for n in range(17):
+        for dp in enumerate_family(PD, n):
+            alpha, beta = delta(dp)
+            assert (alpha, beta) == _reference_delta(dp)
+            assert delta_inv(alpha, beta) == _reference_delta_inv(alpha, beta) == dp
+            assert psi.__wrapped__(beta) == _reference_psi(beta)
+
+
+def test_split_even_odd_matches_reference_exhaustive():
+    for n in range(17):
+        for p in enumerate_family(ORDINARY, n):
+            assert _split_even_odd(p) == _reference_split_even_odd(p)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [((), (1,)), ((3, 1), (2, 2, 1)), ((5,), (4, 4, 4, 3)), ((2, 2), (2,))],
+)
+def test_delta_inv_and_reference_reject_alike(alpha, beta):
+    for kernel in (delta_inv, _reference_delta_inv):
+        with pytest.raises(InvalidPartitionError, match="occurs once"):
+            kernel(alpha, beta)
+
+
+@st.composite
+def heavy_designated(draw):
+    """A designated partition of weight 50..300: a heavy partition with a
+    designated index drawn for each magnitude."""
+    p = draw(heavy_partitions())
+    entries = []
+    for d in sorted(set(p), reverse=True):
+        m = p.count(d)
+        entries.append((d, m, draw(st.integers(1, m))))
+    return DesignatedPartition(tuple(entries))
+
+
+@given(heavy_designated(), heavy_partitions(), st.booleans())
+def test_delta_and_psi_match_reference_at_large_weights(dp, p, doubled):
+    alpha, beta = delta(dp)
+    assert (alpha, beta) == _reference_delta(dp)
+    assert delta_inv(alpha, beta) == dp
+    # a beta drawn freely usually has a magnitude that occurs once, which both
+    # kernels refuse; doubling every part makes a valid one
+    beta = union(p, p) if doubled else p
+    assert _outcome(delta_inv, alpha, beta) == _outcome(_reference_delta_inv, alpha, beta)
+    assert _outcome(psi.__wrapped__, beta) == _outcome(_reference_psi, beta)
+    assert _split_even_odd(p) == _reference_split_even_odd(p)
+
+
+# --- memoized component kernels ---------------------------------------------
+
+CACHED_KERNELS = ("phi", "phi_inv", "psi", "psi_inv", "wright", "wright_inv")
+
+
+def test_cached_kernels_are_bounded():
+    for name in CACHED_KERNELS:
+        maxsize = getattr(bijections, name).cache_info().maxsize
+        assert maxsize == KERNEL_CACHE_SIZE and 0 < maxsize < float("inf")
+
+
+def test_cached_kernels_match_uncached_on_round_trip_inputs(monkeypatch):
+    # every argument the n <= 14 round trips hand each kernel, recorded on the
+    # way in; afterwards the cached value is compared with a fresh computation
+    seen = {name: set() for name in CACHED_KERNELS}
+    for name in CACHED_KERNELS:
+        kernel = getattr(bijections, name)
+
+        def recording(*args, _kernel=kernel, _seen=seen[name]):
+            _seen.add(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(bijections, name, recording)
+    for family, image, fwd, inv in [
+        (PD, PD_IMAGE, lambda_pd, lambda_pd_inv),
+        (A, A_IMAGE, lambda_a, lambda_a_inv),
+        (POD2, POD2_IMAGE, lambda_pod, lambda_pod_inv),
+    ]:
+        for n in range(15):
+            for x in enumerate_family(family, n):
+                assert inv(fwd(x)) == x
+            for v in enumerate_family(image, n):
+                assert fwd(inv(v)) == v
+    monkeypatch.undo()
+    for name in CACHED_KERNELS:
+        kernel = getattr(bijections, name)
+        assert seen[name]
+        for args in seen[name]:
+            assert kernel(*args) == kernel.__wrapped__(*args)
+
+
+@pytest.mark.parametrize(
+    "kernel,args",
+    [
+        (phi_inv, (CoreQuotientTriple((2, 1, 1), (), ()),)),  # not a staircase
+        (psi, ((2, 1, 1),)),  # magnitude 2 occurs once
+        (wright_inv, (WrightDecomposition((3,), OddStaircase(0)),)),  # odd pi
+        (wright, ((4,), ())),  # an even part
+    ],
+    ids=["phi_inv", "psi", "wright_inv", "wright"],
+)
+def test_cached_kernels_raise_on_every_call(kernel, args):
+    # lru_cache stores no exception: a refused input is refused again
+    before = kernel.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvalidPartitionError):
+            kernel(*args)
+    assert kernel.cache_info().currsize == before
+
+
+@given(heavy_partitions())
+def test_cached_kernels_match_uncached_at_large_weights(p):
+    odd = sorted({2 * v - 1 for v in p}, reverse=True)
+    triple = phi(p)
+    beta = union(p, p)
+    even_part, triples = psi(beta)
+    w = wright(tuple(odd[::2]), tuple(odd[1::2]))
+    for kernel, args in [
+        (phi, (p,)),
+        (phi_inv, (triple,)),
+        (psi, (beta,)),
+        (psi_inv, (even_part, triples)),
+        (wright, (tuple(odd[::2]), tuple(odd[1::2]))),
+        (wright_inv, (w,)),
+    ]:
+        for _ in range(2):  # a miss, then a hit
+            assert kernel(*args) == kernel.__wrapped__(*args)

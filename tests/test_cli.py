@@ -214,6 +214,8 @@ def test_selftest(capsys):
         ("orbits", "--family", "pd", "--n", "4"),
         ("series", "--family", "p2_1,1", "--terms", "5"),
         ("enumerate", "--family", "d2_1,1", "--n", "4"),
+        ("bijection", "--family", "pd", "--forward", "1_0'"),
+        ("bijection", "--family", "a", "--forward", "02r+ 1r"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

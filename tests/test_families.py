@@ -162,6 +162,12 @@ def test_grammar_rejects_garbage():
         (ODD_STAIRCASE, "1~~"),
         (OVERPARTITION, "2~+3"),
         (PD, "0'"),                  # "0" is the whole empty element, not a part
+        (PD, "1_0'"),                # a part is written as str writes it
+        (PD_IMAGE, "(0;0;0;0;0_3)"),
+        (A, "02r+ 1r"),
+        (OVERPARTITION, "1+1~"),     # the overline goes on the first copy, once
+        (OVERPARTITION, "1~+1~"),
+        (POD2, "(0; 5)"),            # only the whole text may carry spaces
     ]:
         with pytest.raises(ValueError):
             parse_element(f, bad)

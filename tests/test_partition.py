@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from vrank.families import ORDINARY, enumerate_family
 from vrank.partition import (
     FrobeniusSymbol,
     InvalidFrobeniusError,
@@ -140,3 +141,55 @@ def test_text_grammar():
 @given(partitions)
 def test_grammar_round_trip(p):
     assert parse_partition(format_partition(p)) == p
+
+
+# --- linear conjugate / to_frobenius against the cell-by-cell copies ---------
+
+def _reference_conjugate(p):
+    if not p:
+        return ()
+    cols = [0] * p[0]
+    for v in p:
+        for i in range(v):
+            cols[i] += 1
+    return tuple(cols)
+
+
+def _reference_to_frobenius(p):
+    conj = _reference_conjugate(p)
+    d = 0
+    while d < len(p) and p[d] > d:
+        d += 1
+    return FrobeniusSymbol(
+        tuple(p[i] - i - 1 for i in range(d)), tuple(conj[i] - i - 1 for i in range(d))
+    )
+
+
+def test_conjugate_and_frobenius_match_reference_exhaustive():
+    for n in range(21):
+        for p in enumerate_family(ORDINARY, n):
+            assert conjugate(p) == _reference_conjugate(p)
+            assert to_frobenius(p) == _reference_to_frobenius(p)
+
+
+@st.composite
+def huge_partitions(draw):
+    """A partition of weight 1000..5000: up to 30 drawn runs of equal parts,
+    the rest of the weight as one more part."""
+    left = draw(st.integers(1000, 5000))
+    parts = []
+    for v, m in draw(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 60)), max_size=30)):
+        m = min(m, left // v)
+        parts += [v] * m
+        left -= v * m
+    if left:
+        parts.append(left)
+    return make_partition(parts)
+
+
+@given(huge_partitions())
+def test_conjugate_and_frobenius_match_reference_at_large_weights(p):
+    assert weight(p) >= 1000
+    assert conjugate(p) == _reference_conjugate(p)
+    assert to_frobenius(p) == _reference_to_frobenius(p)
+    assert from_frobenius(to_frobenius(p)) == p
