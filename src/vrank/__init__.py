@@ -11,8 +11,6 @@ from .partition import (
     split_by_residue3,
     to_frobenius,
     from_frobenius,
-    format_partition,
-    parse_partition,
 )
 from .families import (
     Family,

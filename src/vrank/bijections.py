@@ -52,12 +52,10 @@ class WrightDecomposition(NamedTuple):
 
 
 # --- 2-core / 2-quotient ----------------------------------------------------
-
-def _beta_set(p: Partition, size: int) -> list[int]:
-    """First-column hook lengths of p padded with zero parts to `size`."""
-    parts = list(p) + [0] * (size - len(p))
-    return [parts[j] + (size - 1 - j) for j in range(size)]
-
+#
+# On an abacus with an even number of beads the 2-core is fixed by the runner
+# charge d = beads0 - beads1: it is the staircase of height d - 1 when d > 0
+# and of height -d otherwise (James-Kerber, 2.7).
 
 def _partition_from_levels(levels: list[int]) -> Partition:
     """Partition whose beta set (for len(levels) beads) is `levels`."""
@@ -69,26 +67,6 @@ def _doubled_quotient(levels: list[int]) -> Partition:
     """Twice the partition whose beta set is `levels`, given strictly decreasing."""
     top = len(levels) - 1
     return tuple(2 * (v - top + j) for j, v in enumerate(levels) if v > top - j)
-
-
-@lru_cache(maxsize=None)
-def _core(beads0: int, beads1: int) -> Partition:
-    """The 2-core with `beads0` beads on runner 0 and `beads1` on runner 1, all
-    pushed up: beta set {0, 2, .., 2*beads0 - 2} with {1, 3, .., 2*beads1 - 1}."""
-    return _partition_from_levels(list(range(0, 2 * beads0, 2)) + list(range(1, 2 * beads1, 2)))
-
-
-@lru_cache(maxsize=None)
-def _runner_counts(height: int, parts0: int, parts1: int) -> tuple[int, int]:
-    """Beads on runners 0 and 1 of the staircase of `height`, for the fewest
-    beads (an even number) that leave room for `parts0` and `parts1` quotient
-    parts on runners 0 and 1."""
-    size = 2 * max(height, parts0 + parts1, 1)
-    while True:
-        even = sum(1 for b in _beta_set(staircase(height), size) if b % 2 == 0)
-        if even >= parts0 and size - even >= parts1:
-            return even, size - even
-        size += 2
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -109,8 +87,9 @@ def phi(p: Partition) -> CoreQuotientTriple:
             runner0.append(b // 2)
     if len(p) % 2:
         runner0.append(0)  # the one zero part padding to an even bead count
+    charge = len(runner0) - len(runner1)
     return CoreQuotientTriple(
-        _core(len(runner0), len(runner1)),
+        staircase(charge - 1 if charge > 0 else -charge),
         _doubled_quotient(runner0),
         _doubled_quotient(runner1),
     )
@@ -120,15 +99,21 @@ def phi(p: Partition) -> CoreQuotientTriple:
 def phi_inv(t: CoreQuotientTriple) -> Partition:
     """Rebuild the partition from its 2-core and doubled 2-quotient.
 
-    Runner r's beads sit at positions 2j + r for its zero levels, then at
-    e + 2j + r for the part e of its doubled quotient at ascending index j.
+    The core fixes the runner charge (even, as the bead count is); the bead
+    counts are the fewest with that charge that hold both quotients, and any
+    larger even count gives the same partition.  Runner r's beads sit at
+    positions 2j + r for its zero levels, then at e + 2j + r for the part e of
+    its doubled quotient at ascending index j.
     """
     core, even_a, even_b = t
     if not is_staircase(core):
         raise InvalidPartitionError(f"core must be a staircase: {core}")
     if any(e % 2 for e in even_a + even_b):
         raise InvalidPartitionError(f"quotient parts must be even: {even_a}, {even_b}")
-    c0, c1 = _runner_counts(len(core), len(even_a), len(even_b))
+    h = len(core)
+    charge = h + 1 if h % 2 else -h
+    c1 = max(len(even_b), len(even_a) - charge)
+    c0 = c1 + charge
     positions = []
     for q, count, runner in ((even_a, c0, 0), (even_b, c1, 1)):
         zeros = count - len(q)
@@ -243,24 +228,24 @@ def _odd_distinct_halves(mu: Partition) -> list[int]:
 def wright(mu1: Partition, mu2: Partition) -> WrightDecomposition:
     """Map a pair of distinct-odd partitions to (even partition, odd staircase).
 
-    With mu1 = (2a_i + 1) and mu2 = (2b_i + 1), the length difference m picks
-    the branch: m >= 0 builds a Frobenius symbol from the a-tail over the b's
-    and an adjustment partition from the a-head; m < 0 swaps the roles and
-    conjugates, marking the staircase's 1 with an overline.
+    With mu1 = (2a_i + 1) and mu2 = (2b_i + 1), a is the longer row (the
+    rows swap when mu1 is shorter) and m = len(a) - len(b): the Frobenius
+    symbol is the a-tail over the b's and the adjustment partition comes from
+    the a-head.  The swapped side conjugates, marking the staircase's 1 with
+    an overline.
     """
     a = _odd_distinct_halves(mu1)
     b = _odd_distinct_halves(mu2)
+    swapped = len(a) < len(b)
+    if swapped:
+        a, b = b, a
     m = len(a) - len(b)
-    if m >= 0:
-        sym = FrobeniusSymbol(tuple(a[m:]), tuple(b))
-        nu = tuple(a[j] - m + (j + 1) for j in range(m))
-        pi = scale2(union(from_frobenius(sym), tuple(v for v in nu if v > 0)))
-        return WrightDecomposition(pi, OddStaircase(m, False))
-    k = -m
-    sym = FrobeniusSymbol(tuple(b[k:]), tuple(a))
-    nu = tuple(b[j] + m + (j + 1) for j in range(k))
-    pi = scale2(conjugate(union(from_frobenius(sym), tuple(v for v in nu if v > 0))))
-    return WrightDecomposition(pi, OddStaircase(k, True))
+    sym = FrobeniusSymbol(tuple(a[m:]), tuple(b))
+    nu = tuple(a[j] - m + (j + 1) for j in range(m))
+    gamma = union(from_frobenius(sym), tuple(v for v in nu if v > 0))
+    if swapped:
+        gamma = conjugate(gamma)
+    return WrightDecomposition(scale2(gamma), OddStaircase(m, swapped))
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -272,10 +257,8 @@ def wright_inv(w: WrightDecomposition) -> tuple[Partition, Partition]:
     branch, conjugated) pi recover nu; the rest recovers the Frobenius symbol.
     """
     pi, tri = w
-    if not all_parts_even(pi):
-        raise InvalidPartitionError(f"pi must have even parts: {pi}")
     k = tri.height
-    gamma = halve(pi)
+    gamma = halve(pi)  # refuses an odd part
     if tri.one_overlined:
         gamma = conjugate(gamma)
     nu = list(gamma[:k]) + [0] * (k - len(gamma[:k]))

@@ -114,13 +114,9 @@ def cmd_verify(args) -> int:
         else:  # orbits
             for n in range(2, limit + 1, 3):
                 try:
-                    blocks = orbits.build_orbits(f, n, ceiling=args.ceiling)
-                except orbits.OrbitError as e:  # a degenerate orbit or a failed round trip
+                    orbits.build_orbits(f, n, ceiling=args.ceiling)
+                except orbits.OrbitError as e:  # a broken orbit, round trip or cover
                     failures.append(f"orbits: {e}")
-                    continue
-                total = count_family(f, n, ceiling=args.ceiling)
-                if 3 * len(blocks) != total:
-                    failures.append(f"orbits: {len(blocks)} orbits cover {total} elements at n={n}")
         print(f"{args.family} {method}: {'FAIL' if failures else 'ok'}")
     for line in failures:
         print(line)

@@ -9,7 +9,7 @@ the weight-(3n+2) slice into blocks of 3, which is the congruence.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import bijections
 from .families import (
@@ -148,38 +148,37 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
             raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")
         seen |= block
         members.sort(key=lambda m: m[2] % 3)
+        if [m[2] % 3 for m in members] != [0, 1, 2]:
+            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
         orbits.append(Orbit(tuple(members)))
+    if 3 * len(orbits) != len(elements):
+        raise OrbitError(f"{len(orbits)} orbits cover {len(elements)} elements at n={n}")
     return orbits
 
 
 # --- reports ----------------------------------------------------------------
 
-def orbits_to_json(f: Family, name: str, n: int, orbits: list[Orbit]) -> dict:
+def _rows(f: Family, orbits: list[Orbit]) -> Iterator[tuple[str, str, int, int]]:
+    """(element text, tuple text, rank, orbit index from 1) for every member,
+    orbit by orbit."""
     _, _, image = family_bijection(f)
-    return {
-        "family": name,
-        "n": n,
-        "orbits": [
-            [
-                [format_element(f, x), format_element(image, v), rank]
-                for x, v, rank in orbit.members
-            ]
-            for orbit in orbits
-        ],
-    }
+    for idx, orbit in enumerate(orbits, start=1):
+        for x, v, rank in orbit.members:
+            yield format_element(f, x), format_element(image, v), rank, idx
+
+
+def orbits_to_json(f: Family, name: str, n: int, orbits: list[Orbit]) -> dict:
+    blocks: list[list] = [[] for _ in orbits]
+    for elem, tup, rank, idx in _rows(f, orbits):
+        blocks[idx - 1].append([elem, tup, rank])
+    return {"family": name, "n": n, "orbits": blocks}
 
 
 def orbits_to_markdown(f: Family, n: int, orbits: list[Orbit]) -> str:
-    _, _, image = family_bijection(f)
     lines = [
         "| element | tuple | r_V | orbit |",
         "| --- | --- | --- | --- |",
     ]
-    rows = []
-    for idx, orbit in enumerate(orbits, start=1):
-        for x, v, rank in orbit.members:
-            rows.append((format_element(f, x), format_element(image, v), rank, f"O{idx}"))
-    rows.sort(key=lambda r: r[0])
-    for elem, tup, rank, label in rows:
-        lines.append(f"| {elem} | {tup} | {rank} | {label} |")
+    for elem, tup, rank, idx in sorted(_rows(f, orbits), key=lambda r: r[0]):
+        lines.append(f"| {elem} | {tup} | {rank} | O{idx} |")
     return "\n".join(lines) + "\n"

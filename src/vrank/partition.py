@@ -158,41 +158,3 @@ def from_frobenius(f: FrobeniusSymbol) -> Partition:
     # Rows below the diagonal come from the column (leg) lengths.
     extra = [sum(1 for c in cols if c > r) for r in range(d, max(cols, default=0))]
     return tuple(rows) + tuple(v for v in extra if v > 0)
-
-
-def frobenius_weight(f: FrobeniusSymbol) -> int:
-    return sum(f.top) + sum(f.bottom) + len(f.top)
-
-
-# --- text grammar -----------------------------------------------------------
-
-def format_partition(p: Partition) -> str:
-    """`4+4+2+2+1`; the empty partition prints as `0`."""
-    return "+".join(str(v) for v in p) if p else "0"
-
-
-def parse_partition(s: str) -> Partition:
-    s = s.strip()
-    if s == "0":
-        return EMPTY
-    try:
-        parts = tuple(int(tok) for tok in s.split("+"))
-    except ValueError as e:
-        raise InvalidPartitionError(f"bad partition text {s!r}") from e
-    return check_partition(parts)
-
-
-def format_frobenius(f: FrobeniusSymbol) -> str:
-    return "({};{})".format(
-        ",".join(str(v) for v in f.top), ",".join(str(v) for v in f.bottom)
-    )
-
-
-def parse_frobenius(s: str) -> FrobeniusSymbol:
-    s = s.strip()
-    if not (s.startswith("(") and s.endswith(")")) or ";" not in s:
-        raise InvalidFrobeniusError(f"bad Frobenius text {s!r}")
-    top_s, bottom_s = s[1:-1].split(";")
-    top = tuple(int(v) for v in top_s.split(",") if v != "")
-    bottom = tuple(int(v) for v in bottom_s.split(",") if v != "")
-    return check_frobenius(FrobeniusSymbol(top, bottom))

@@ -45,6 +45,7 @@ from vrank.partition import (
     is_staircase,
     make_partition,
     scale2,
+    staircase,
     union,
     weight,
 )
@@ -170,6 +171,18 @@ def test_phi_inv_and_reference_reject_alike(kernel, triple):
     # a non-staircase core or an odd quotient part is refused by both kernels
     with pytest.raises(InvalidPartitionError):
         kernel(CoreQuotientTriple(*triple))
+
+
+even_quotients = st.lists(st.integers(1, 15), max_size=12).map(make_partition).map(scale2)
+
+
+@given(st.integers(0, 40), even_quotients, even_quotients)
+def test_phi_inv_closed_form_matches_reference_to_core_height_40(h, even_a, even_b):
+    # the exhaustive check above reaches core height 5 only; the runner charge
+    # read off the core must agree with the reference's bead-count search
+    t = CoreQuotientTriple(staircase(h), even_a, even_b)
+    assert phi_inv(t) == _reference_phi_inv(t)
+    assert phi(phi_inv(t)) == t
 
 
 @st.composite
@@ -370,8 +383,11 @@ def test_wright_round_trip_exhaustive():
 
 
 def test_wright_inv_rejects_odd_pi():
-    with pytest.raises(InvalidPartitionError):
-        wright_inv(WrightDecomposition((3,), OddStaircase(0)))
+    # halve refuses the odd part, on the plain and the overlined branch alike
+    odd = [((3,), OddStaircase(0)), ((4, 3), OddStaircase(1)), ((6, 2, 1), OddStaircase(2, True))]
+    for pi, tri in odd:
+        with pytest.raises(InvalidPartitionError, match="even parts"):
+            wright_inv(WrightDecomposition(pi, tri))
 
 
 # --- run-length kernels against the per-magnitude .count() copies -----------

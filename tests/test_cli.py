@@ -175,6 +175,24 @@ def test_verify_operator_image_outside_codomain_exits_1(capsys, monkeypatch):
     ]
 
 
+def test_verify_orbits_that_miss_elements_exit_1(capsys, monkeypatch):
+    # a slice that drops its first element still yields whole orbits, which
+    # then cover more elements than the slice has
+    enumerate_family = orbits.enumerate_family
+    monkeypatch.setattr(orbits, "enumerate_family", lambda *a, **k: enumerate_family(*a, **k)[1:])
+    code, out, err = run(
+        capsys, "verify", "--family", "pd", "--max-n", "8", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pd orbits: FAIL",
+        "orbits: 1 orbits cover 2 elements at n=2",
+        "orbits: 5 orbits cover 14 elements at n=5",
+        "orbits: 23 orbits cover 68 elements at n=8",
+    ]
+
+
 def test_verify_op2_skips_orbits(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "op2", "--max-n", "30", "--method", "all",

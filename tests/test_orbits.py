@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from vrank import orbits as orbits_module
@@ -197,6 +199,15 @@ def test_build_orbits_names_a_failed_round_trip(monkeypatch):
     monkeypatch.setitem(orbits_module._LAMBDAS, PD, (forward, lambda v: wrong, image))
     with pytest.raises(OrbitError, match=r"round trip of 1'\+1 at n=2 gives 2'"):
         build_orbits(PD, 2)
+
+
+def test_build_orbits_names_an_orbit_that_misses_a_rank_residue(monkeypatch):
+    # an operator that cycles through two images of rank 1, like its start
+    # 1'+1+1+1+1 (rank -2): three distinct elements, but one rank residue
+    images = itertools.cycle([_tuple(PD_IMAGE, "(2;0;0;0;3)"), _tuple(PD_IMAGE, "(2;0;0;2+1;0)")])
+    monkeypatch.setattr(orbits_module, "o_hat", lambda v: next(images))
+    with pytest.raises(OrbitError, match=r"orbit of 1'\+1\+1\+1\+1 at n=5 misses a rank residue"):
+        build_orbits(PD, 5)
 
 
 def test_build_orbits_rejects_wrong_residue():

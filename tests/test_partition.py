@@ -1,20 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vrank.families import ORDINARY, enumerate_family
+from vrank.families import ORDINARY, enumerate_family, format_element, parse_element
 from vrank.partition import (
     FrobeniusSymbol,
     InvalidFrobeniusError,
     InvalidPartitionError,
     conjugate,
     count_residue3,
-    format_frobenius,
-    format_partition,
     from_frobenius,
-    frobenius_weight,
     make_partition,
-    parse_frobenius,
-    parse_partition,
     scale2,
     split_by_residue3,
     to_frobenius,
@@ -117,7 +112,6 @@ def test_frobenius_rejects_bad_rows():
 def test_frobenius_round_trip(p):
     f = to_frobenius(p)
     assert from_frobenius(f) == p
-    assert frobenius_weight(f) == weight(p)
 
 
 def test_make_partition_sorts():
@@ -127,20 +121,18 @@ def test_make_partition_sorts():
 
 
 def test_text_grammar():
-    assert format_partition((4, 4, 2, 2, 1)) == "4+4+2+2+1"
-    assert format_partition(()) == "0"
-    assert parse_partition("4+4+2+2+1") == (4, 4, 2, 2, 1)
-    assert parse_partition("0") == ()
+    # a partition's text is the ordinary family's element text
+    assert format_element(ORDINARY, (4, 4, 2, 2, 1)) == "4+4+2+2+1"
+    assert format_element(ORDINARY, ()) == "0"
+    assert parse_element(ORDINARY, "4+4+2+2+1") == (4, 4, 2, 2, 1)
+    assert parse_element(ORDINARY, "0") == ()
     with pytest.raises(InvalidPartitionError):
-        parse_partition("2+3")
-    f = FrobeniusSymbol((3, 1, 0), (4, 3, 1))
-    assert format_frobenius(f) == "(3,1,0;4,3,1)"
-    assert parse_frobenius("(3,1,0;4,3,1)") == f
+        parse_element(ORDINARY, "2+3")
 
 
 @given(partitions)
 def test_grammar_round_trip(p):
-    assert parse_partition(format_partition(p)) == p
+    assert parse_element(ORDINARY, format_element(ORDINARY, p)) == p
 
 
 # --- linear conjugate / to_frobenius against the cell-by-cell copies ---------
