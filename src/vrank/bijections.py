@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .families import DesignatedPartition, OddStaircase, TwoColorPartition, VTuple
 from .partition import (
+    KERNEL_CACHE_SIZE,
     FrobeniusSymbol,
     InvalidPartitionError,
     Partition,
@@ -28,16 +29,12 @@ from .partition import (
     from_frobenius,
     halve,
     is_staircase,
+    runs,
     scale2,
     staircase,
     to_frobenius,
     union,
 )
-
-
-# Distinct arguments each component kernel remembers: enough for every
-# argument `verify` meets at the default ceiling, and a cap on memory above it.
-KERNEL_CACHE_SIZE = 1 << 14
 
 
 class CoreQuotientTriple(NamedTuple):
@@ -137,25 +134,24 @@ def delta(dp: DesignatedPartition) -> tuple[Partition, Partition]:
     return tuple(alpha), tuple(beta)  # entries run in decreasing magnitude
 
 
-def _multiplicities(p: Partition) -> dict[int, int]:
-    """Magnitude -> multiplicity, in one pass; a partition's magnitudes come
-    out decreasing."""
-    counts: dict[int, int] = {}
-    for v in p:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def delta_inv(alpha: Partition, beta: Partition) -> DesignatedPartition:
-    in_beta = _multiplicities(beta)
-    for d, b in in_beta.items():
+    """Invert `delta` by merging the runs of alpha and beta, both decreasing:
+    a magnitude in beta is designated at its count there, any other at 1."""
+    head = runs(alpha)
+    k = 0
+    entries = []
+    for d, b in runs(beta):
         if b < 2:
             raise InvalidPartitionError(f"beta magnitude {d} occurs once")
-    in_alpha = _multiplicities(alpha)
-    entries = []
-    for d in sorted(in_alpha.keys() | in_beta.keys(), reverse=True):
-        b = in_beta.get(d, 0)
-        entries.append((d, in_alpha.get(d, 0) + b, b or 1))
+        while k < len(head) and head[k][0] > d:
+            entries.append((*head[k], 1))
+            k += 1
+        if k < len(head) and head[k][0] == d:
+            entries.append((d, head[k][1] + b, b))
+            k += 1
+        else:
+            entries.append((d, b, b))
+    entries.extend((d, m, 1) for d, m in head[k:])
     return DesignatedPartition(tuple(entries))
 
 
@@ -166,7 +162,7 @@ def psi(beta: Partition) -> tuple[Partition, Partition]:
     Magnitudes are visited in decreasing order, so both outputs come out
     decreasing."""
     even_part, triples = [], []
-    for d, m in _multiplicities(beta).items():
+    for d, m in runs(beta):
         if m < 2:
             raise InvalidPartitionError(f"magnitude {d} occurs once in {beta}")
         if m % 2:

@@ -22,10 +22,12 @@ from typing import Any, Iterator
 
 from .partition import (
     EMPTY,
+    KERNEL_CACHE_SIZE,
     Partition,
     InvalidPartitionError,
     check_partition,
     is_staircase,
+    runs,
     staircase,
 )
 
@@ -185,19 +187,23 @@ def format_element(f: Family, x: Any) -> str:
         if x.one_overlined:
             toks[-1] += "~"
     elif tag == "designated":
-        toks = []
-        for d, m, i in x.entries:
-            toks.extend(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
+        toks = map(_run_text, x.entries)
     elif tag == "two-color":
-        pairs = [(v, "r") for v in x.red] + [(v, "b") for v in x.blue]
-        pairs.sort(key=lambda p: (-p[0], p[1]))
-        toks = [f"{v}{c}" for v, c in pairs]
+        pairs = sorted([(-v, "r") for v in x.red] + [(-v, "b") for v in x.blue])
+        toks = [f"{-v}{c}" for v, c in pairs]
     elif tag == "vector":
         inner = ";".join(format_element(g, c) for g, c in zip(f.components, x.components))
         return f"({inner})"
     else:
         raise UnknownFamilyError(f.tag)
     return "+".join(toks) or "0"
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _run_text(entry: tuple[int, int, int]) -> str:
+    """The text of one designated run (d, m, i): m copies of d, the i-th primed."""
+    d, m, i = entry
+    return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
 
 
 def parse_element(f: Family, s: str) -> Any:
@@ -356,6 +362,8 @@ def enumerate_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list:
 
 
 def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
     if n > ceiling:
         raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
     return _cached_count(f, n)
@@ -405,17 +413,14 @@ def _generate(f: Family, n: int) -> Iterator:
         yield from filter(_odd_parts_distinct, _ordinary_partitions(n))
     elif tag == "overpartition":
         for p in _ordinary_partitions(n):
-            mags = sorted(set(p), reverse=True)
+            mags = [d for d, _ in runs(p)]
             for r in range(len(mags) + 1):
                 for over in itertools.combinations(mags, r):
                     yield Overpartition(p, over)
     elif tag == "designated":
         for p in _ordinary_partitions(n):
-            runs = [(d, p.count(d)) for d in sorted(set(p), reverse=True)]
-            for idxs in itertools.product(*(range(1, m + 1) for _, m in runs)):
-                yield DesignatedPartition(
-                    tuple((d, m, i) for (d, m), i in zip(runs, idxs))
-                )
+            choices = [[(d, m, i) for i in range(1, m + 1)] for d, m in runs(p)]
+            yield from map(DesignatedPartition, itertools.product(*choices))
     elif tag == "two-color":
         for b in range(0, n + 1, 2):
             for blue in _generate(EVEN_PARTS, b):

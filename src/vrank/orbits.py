@@ -9,6 +9,7 @@ the weight-(3n+2) slice into blocks of 3, which is the congruence.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterator
 
 from . import bijections
@@ -44,9 +45,16 @@ def v_rank(v: VTuple) -> int:
 def classify_case(v: VTuple) -> str | None:
     """Which residue class the orbit operator moves: case 1 when the parts
     == 1 mod 3 in the first three components number nonzero mod 3, else case 2
-    when the parts == 2 mod 3 do, else None.  One pass counts both."""
+    when the parts == 2 mod 3 do, else None."""
+    return _case_of(v.components[:3])
+
+
+@lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
+def _case_of(first3: tuple[Partition, ...]) -> str | None:
+    """`classify_case` of the first three components, counted in one pass and
+    memoized like the moved triple."""
     counts = [0, 0, 0]
-    for c in v.components[:3]:
+    for c in first3:
         for part in c:
             counts[part % 3] += 1
     if counts[1] % 3:
@@ -68,10 +76,17 @@ def o_hat(v: VTuple) -> VTuple:
     case = classify_case(v)
     if case is None:
         raise OrbitError(f"orbit operator undefined for {v.components}")
-    r = 1 if case == CASE1 else 2
-    c0, c1, c2 = v.components[:3]
-    first3 = (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
-    return VTuple(first3 + v.components[3:])
+    c = v.components
+    return VTuple(_moved_triple(1 if case == CASE1 else 2, c[0], c[1], c[2]) + c[3:])
+
+
+@lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
+def _moved_triple(
+    r: int, c0: Partition, c1: Partition, c2: Partition
+) -> tuple[Partition, Partition, Partition]:
+    """The first three components after the shift of residue r.  Every tail,
+    weight and family reuses the same triples, so the result is memoized."""
+    return (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
 
 
 def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:

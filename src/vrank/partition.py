@@ -2,14 +2,22 @@
 
 A partition is stored as a tuple of positive integers in weakly decreasing
 order; the empty tuple is the unique partition of 0.  All operations here are
-pure functions on those tuples, so values are freely shareable and hashable.
+pure functions on those tuples, so values are freely shareable and hashable;
+`runs`, which every layer reads multiplicities from, is memoized.
 """
 
+from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
 
 EMPTY: Partition = ()
+
+# Distinct arguments each memoized component function remembers: enough for
+# every argument `verify` meets at the default ceiling, and a cap on memory
+# above it.
+KERNEL_CACHE_SIZE = 1 << 14
 
 
 class ResidueSplit(NamedTuple):
@@ -64,6 +72,13 @@ def conjugate(p: Partition) -> Partition:
         cols.extend([k] * (p[k - 1] - below))
         below = p[k - 1]
     return tuple(cols)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def runs(p: Partition) -> tuple[tuple[int, int], ...]:
+    """(magnitude, multiplicity) of each run of equal parts, magnitudes
+    decreasing; the one run decomposition shared by every caller."""
+    return tuple((d, len(tuple(run))) for d, run in groupby(p))
 
 
 def union(p: Partition, q: Partition) -> Partition:

@@ -45,6 +45,26 @@ def test_traced_roundtrip_reaches_every_expected_layer():
     assert layers["bijections.roundtrip_failed"] == 0
 
 
+def test_traced_verify_reaches_every_expected_layer():
+    # o_hat memoizes its shift, but must still classify every tuple it moves:
+    # orbits.case1_frac is read off those classify_case calls
+    run = _load("run")
+    tracer = _load("tracer")
+    workloads = _load("workloads")
+    instrumentation = tracer.Instrumentation()
+    try:
+        tally = workloads.verify("small")
+    finally:
+        instrumentation.restore()
+    assert tally.attempted > 0 and tally.failed == 0
+    layers = instrumentation.layer_metrics()
+    for key in run.EXPECTED_CALLS["verify"]:
+        assert layers[key] > 0, key
+    assert instrumentation.counts["orbits.cases"] == layers["orbits.o_hat_calls"]
+    assert 0 < layers["orbits.case1_frac"] < 1
+    assert layers["bijections.roundtrip_failed"] == 0
+
+
 def test_workloads_read_cli_and_families():
     workloads = _load("workloads")
     assert workloads.verify_elements("small") > 0

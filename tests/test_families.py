@@ -25,7 +25,9 @@ from vrank.families import (
     TwoColorPartition,
     UnknownFamilyError,
     VTuple,
+    _cached_count,
     _generate,
+    _run_text,
     _weight_splits,
     count_family,
     element_weight,
@@ -35,6 +37,7 @@ from vrank.families import (
     is_member,
     parse_element,
 )
+from vrank.partition import KERNEL_CACHE_SIZE
 
 
 def test_membership_two_color():
@@ -149,6 +152,33 @@ def test_grammar_is_pinned():
     assert digest.hexdigest() == GRAMMAR_SHA256
 
 
+def _reference_text(x):
+    """The earlier token-by-token text of a designated or two-color element."""
+    if isinstance(x, DesignatedPartition):
+        toks = []
+        for d, m, i in x.entries:
+            toks.extend(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
+    else:
+        pairs = [(v, "r") for v in x.red] + [(v, "b") for v in x.blue]
+        pairs.sort(key=lambda p: (-p[0], p[1]))
+        toks = [f"{v}{c}" for v, c in pairs]
+    return "+".join(toks) or "0"
+
+
+def test_designated_and_two_color_text_match_reference():
+    # designated text is joined from memoized run texts, two-color text from
+    # a plain tuple sort; both must write what the token-by-token form wrote
+    for n in range(15):
+        for f in (PD, A):
+            for x in enumerate_family(f, n):
+                assert format_element(f, x) == _reference_text(x)
+    heavy = DesignatedPartition(((30, 1, 1), (7, 12, 12), (2, 40, 17), (1, 3, 1)))
+    assert format_element(PD, heavy) == _reference_text(heavy)
+    mixed = TwoColorPartition((9, 4, 4, 1), (10, 4, 2, 2))
+    assert format_element(A, mixed) == _reference_text(mixed) == "10b+9r+4b+4r+4r+2b+2b+1r"
+    assert _run_text.cache_info().maxsize == KERNEL_CACHE_SIZE
+
+
 def test_grammar_rejects_garbage():
     for f, bad in [
         (PD, "2+2"),           # no designation
@@ -191,9 +221,14 @@ def test_repeated_residues_rejected():
             family_by_name(name)
 
 
-def test_count_family_negative_weight_is_zero():
+def test_count_and_enumerate_refuse_negative_weight():
+    # a negative weight is refused alike by both, and leaves no count cached
+    before = _cached_count.cache_info().currsize
     for f in (ORDINARY, STAIRCASE, PD, POD2, PD_IMAGE):
-        assert count_family(f, -1) == 0
+        for weight_of in (count_family, enumerate_family):
+            with pytest.raises(ValueError, match="weight must be nonnegative"):
+                weight_of(f, -1)
+    assert _cached_count.cache_info().currsize == before
 
 
 # --- enumeration core -------------------------------------------------------

@@ -2,7 +2,8 @@
 far beyond the exhaustive range (n <= 24) of the other suites.
 
 Each strategy draws a weight, then an element of that weight: a designated
-partition, a two-color partition, or a pair of pod partitions.
+partition, a two-color partition, or a pair of pod partitions; or an image
+tuple of pd, a or pod2, checked in the other direction.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vrank.families import (
     A,
     DesignatedPartition,
+    OddStaircase,
     PD,
     POD2,
     TwoColorPartition,
@@ -18,7 +20,7 @@ from vrank.families import (
     is_member,
 )
 from vrank.orbits import classify_case, family_bijection, o_hat, v_rank
-from vrank.partition import make_partition, scale2
+from vrank.partition import make_partition, scale2, staircase
 
 WEIGHTS = st.integers(50, 300)
 LARGE = settings(max_examples=60, deadline=None)
@@ -117,3 +119,55 @@ def test_a_at_large_weights(x):
 @given(pod_pairs())
 def test_pod2_at_large_weights(x):
     check_bijection_and_orbit(POD2, x)
+
+
+# --- the image-space direction: forward(inverse(v)) == v ---------------------
+
+@st.composite
+def image_tuples(draw, tails):
+    """A tuple of weight 50..300: a drawn tail, then three partitions into
+    even parts sharing the even weight left over."""
+    tail = draw(tails)
+    tail_weight = VTuple(tail).weight
+    half = draw(st.integers(max(0, (51 - tail_weight) // 2), (300 - tail_weight) // 2))
+    first = draw(st.integers(0, half))
+    second = draw(st.integers(0, half - first))
+    triple = tuple(scale2(draw(partitions_of(w))) for w in (first, second, half - first - second))
+    return VTuple(triple + tail)
+
+
+STAIRCASES = st.integers(0, 12).map(staircase)
+DISTINCT_TRIPLES = st.sets(st.integers(1, 12), max_size=4).map(
+    lambda s: tuple(sorted((3 * v for v in s), reverse=True))
+)
+ODD_STAIRCASES = st.integers(0, 12).flatmap(
+    lambda m: st.builds(OddStaircase, st.just(m), st.booleans() if m else st.just(False))
+)
+
+
+def check_image_round_trip(family, v):
+    forward, inverse, image = family_bijection(family)
+    n = v.weight
+    assert is_member(image, v) and 50 <= n <= 300
+    x = inverse(v)
+    assert is_member(family, x)
+    assert element_weight(family, x) == n
+    assert forward(x) == v
+
+
+@LARGE
+@given(image_tuples(st.tuples(STAIRCASES, DISTINCT_TRIPLES)))
+def test_pd_image_at_large_weights(v):
+    check_image_round_trip(PD, v)
+
+
+@LARGE
+@given(image_tuples(st.tuples(STAIRCASES)))
+def test_a_image_at_large_weights(v):
+    check_image_round_trip(A, v)
+
+
+@LARGE
+@given(image_tuples(st.tuples(ODD_STAIRCASES)))
+def test_pod2_image_at_large_weights(v):
+    check_image_round_trip(POD2, v)

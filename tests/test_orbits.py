@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vrank import orbits as orbits_module
 from vrank.families import (
@@ -8,6 +9,7 @@ from vrank.families import (
     A_IMAGE,
     EVEN_PARTS,
     Family,
+    OddStaircase,
     ORDINARY,
     PD,
     PD_IMAGE,
@@ -33,7 +35,14 @@ from vrank.orbits import (
     tail_condition_holds,
     v_rank,
 )
-from vrank.partition import count_residue3, split_by_residue3, union
+from vrank.partition import (
+    KERNEL_CACHE_SIZE,
+    count_residue3,
+    make_partition,
+    split_by_residue3,
+    staircase,
+    union,
+)
 
 EXAMPLE_83 = VTuple(((9, 8, 7, 7, 5, 4), (5, 2, 1), (10, 6, 4, 4, 3, 2), (3, 2, 1)))
 
@@ -136,6 +145,72 @@ def test_o_hat_matches_split_union_reference(image):
             assert o_hat(v) == _reference_o_hat(v)
             moved += 1
     assert moved > 0
+
+
+@st.composite
+def even_partitions_of(draw, total):
+    """A partition of the even `total` into even parts: drawn parts up to 60,
+    the last cut to fit, then parts of 60 and an even remainder."""
+    left, parts = total, []
+    for v in draw(st.lists(st.integers(1, 30).map(lambda h: 2 * h), max_size=20)):
+        if not left:
+            break
+        parts.append(min(v, left))
+        left -= parts[-1]
+    parts += [60] * (left // 60) + [left % 60] * (left % 60 > 0)
+    return make_partition(parts)
+
+
+@st.composite
+def even_triples(draw):
+    """Three even-part partitions of total weight 50..300."""
+    total = 2 * draw(st.integers(25, 150))
+    first = 2 * draw(st.integers(0, total // 2))
+    second = 2 * draw(st.integers(0, (total - first) // 2))
+    weights = (first, second, total - first - second)
+    return tuple(draw(even_partitions_of(w)) for w in weights)
+
+
+# the tails of the pd, a and pod2 image spaces: o_hat must leave them alone
+TAILS = st.one_of(
+    st.tuples(
+        st.integers(0, 12).map(staircase),
+        st.sets(st.integers(1, 30)).map(lambda s: tuple(sorted((3 * v for v in s), reverse=True))),
+    ),
+    st.tuples(st.integers(0, 12).map(staircase)),
+    st.tuples(st.builds(OddStaircase, st.integers(1, 9), st.booleans())),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_triples(), TAILS)
+def test_o_hat_matches_reference_at_large_weights(triple, tail):
+    # at weights 50-300 almost every triple is a miss of the memoized case
+    # and shift, and the second call is a hit
+    v = VTuple(triple + tail)
+    assert classify_case(v) == _reference_case(v)
+    if _reference_case(v) is None:
+        for _ in range(2):
+            with pytest.raises(OrbitError):
+                o_hat(v)
+        return
+    for _ in range(2):
+        assert o_hat(v) == _reference_o_hat(v)
+    assert o_hat(o_hat(o_hat(v))) == v
+
+
+def test_o_hat_refuses_case_none_on_every_call():
+    # the refusal comes before the memoized shift, so nothing is cached for it
+    shift = orbits_module._moved_triple
+    before = shift.cache_info().currsize
+    for text in ("(0;0;0;0)", "(2;2;2;0)", "(6;0;0;1)"):
+        v = _tuple(A_IMAGE, text)
+        for _ in range(3):
+            with pytest.raises(OrbitError, match="orbit operator undefined"):
+                o_hat(v)
+    assert shift.cache_info().currsize == before
+    for memo in (shift, orbits_module._case_of):
+        assert memo.cache_info().maxsize == KERNEL_CACHE_SIZE
 
 
 def test_rotate_o():

@@ -9,7 +9,9 @@ from vrank.partition import (
     conjugate,
     count_residue3,
     from_frobenius,
+    KERNEL_CACHE_SIZE,
     make_partition,
+    runs,
     scale2,
     split_by_residue3,
     to_frobenius,
@@ -112,6 +114,29 @@ def test_frobenius_rejects_bad_rows():
 def test_frobenius_round_trip(p):
     f = to_frobenius(p)
     assert from_frobenius(f) == p
+
+
+def _reference_runs(p):
+    return tuple((d, p.count(d)) for d in sorted(set(p), reverse=True))
+
+
+def test_runs_anchor():
+    assert runs(()) == ()
+    assert runs((4, 4, 2, 2, 1)) == ((4, 2), (2, 2), (1, 1))
+
+
+def test_runs_match_reference_exhaustive():
+    for n in range(19):
+        for p in enumerate_family(ORDINARY, n):
+            assert runs(p) == _reference_runs(p)
+            assert sum(d * m for d, m in runs(p)) == n
+
+
+@given(partitions)
+def test_runs_memo_matches_uncached(p):
+    for _ in range(2):  # a miss, then a hit
+        assert runs(p) == runs.__wrapped__(p) == _reference_runs(p)
+    assert runs.cache_info().maxsize == KERNEL_CACHE_SIZE
 
 
 def test_make_partition_sorts():
