@@ -5,7 +5,6 @@ Verbs: enumerate, bijection, orbits, verify, series, selftest.  Exit codes:
 """
 
 import argparse
-import json
 import sys
 
 from . import orbits, series
@@ -44,8 +43,11 @@ def _resolve_family(name: str) -> Family:
 
 
 def _nonnegative(option: str, value: int) -> int:
+    """A weight or term count: at least 0, and small enough to index a list."""
     if value < 0:
         raise CliError(f"{option} must be >= 0, got {value}")
+    if value >= sys.maxsize:
+        raise CliError(f"{option} is too large: {value}")
     return value
 
 
@@ -55,6 +57,8 @@ def cmd_enumerate(args) -> int:
     elems = enumerate_family(f, n, ceiling=ceiling)
     texts = [format_element(f, x) for x in elems]
     if args.format == "json":
+        import json  # only here and in cmd_orbits: keeps it off start-up
+
         print(json.dumps({"family": args.family, "n": args.n, "elements": texts}))
     elif args.format == "csv":
         for t in texts:
@@ -83,6 +87,8 @@ def cmd_orbits(args) -> int:
     n, ceiling = _nonnegative("--n", args.n), _nonnegative("--ceiling", args.ceiling)
     decomposition = orbits.build_orbits(f, n, ceiling=ceiling)
     if args.format == "json":
+        import json
+
         print(json.dumps(orbits.orbits_to_json(f, args.family, args.n, decomposition)))
     else:
         print(orbits.orbits_to_markdown(f, args.n, decomposition), end="")
@@ -126,13 +132,12 @@ def cmd_verify(args) -> int:
 def _report_range(args, method: str, limit: int) -> None:
     """Print the weights n == 2 mod 3 up to `limit` that `method` checks, and
     whether --ceiling left out some that --max-n asks for."""
-    weights = list(range(2, limit + 1, 3))
+    weights = range(2, limit + 1, 3)
     bound = f"--max-n {args.max_n}"
     if len(weights) < len(range(2, args.max_n + 1, 3)):
         bound = f"capped by --ceiling {args.ceiling}; {bound}"
-    if len(weights) > 4:
-        weights[2:-1] = ["..."]
-    checked = "n = " + ", ".join(map(str, weights)) if weights else "no weight"
+    shown = [weights[0], weights[1], "...", weights[-1]] if len(weights) > 4 else weights
+    checked = "n = " + ", ".join(map(str, shown)) if weights else "no weight"
     print(f"{args.family} {method}: checked {checked} ({bound})")
 
 

@@ -1,7 +1,7 @@
 """Restricted partition families: membership, exhaustive enumeration, grammar.
 
 Each family is identified by a `Family` value.  Elements are either bare
-partitions (tuples) or one of the small frozen dataclasses below; every family
+partitions (tuples) or one of the read-only `Record` types below; every family
 has a canonical text form, and enumeration is sorted lexicographically on that
 form so golden outputs are stable.
 
@@ -15,7 +15,6 @@ and returns a new list.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterator
@@ -25,6 +24,7 @@ from .partition import (
     KERNEL_CACHE_SIZE,
     Partition,
     InvalidPartitionError,
+    Record,
     check_partition,
     is_staircase,
     runs,
@@ -50,8 +50,7 @@ class ElementParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Family identifier.
 
     tags: mod-parts (parts == s mod t, s in residues), mod-distinct (same with
@@ -59,19 +58,29 @@ class Family:
     pod, two-color, vector (ordered tuple of component families).
     """
 
-    tag: str
-    modulus: int = 0
-    residues: tuple[int, ...] = ()
-    components: tuple["Family", ...] = ()
+    __slots__ = ("tag", "modulus", "residues", "components")
 
-    def __post_init__(self):
-        if self.tag in ("mod-parts", "mod-distinct"):
-            if self.modulus < 1:
+    def __init__(
+        self,
+        tag: str,
+        modulus: int = 0,
+        residues: tuple[int, ...] = (),
+        components: tuple["Family", ...] = (),
+    ):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "components", components)
+        if tag in ("mod-parts", "mod-distinct"):
+            if modulus < 1:
                 raise UnknownFamilyError(f"modulus must be >= 1: {self}")
-            if any(not 0 <= r < self.modulus for r in self.residues):
+            if any(not 0 <= r < modulus for r in residues):
                 raise UnknownFamilyError(f"residues out of range: {self}")
-            if len(set(self.residues)) != len(self.residues):
+            if len(set(residues)) != len(residues):
                 raise UnknownFamilyError(f"repeated residue: {self}")
+
+    def __hash__(self):  # every memo keyed on a family computes it
+        return hash((self.tag, self.modulus, self.residues, self.components))
 
 
 ORDINARY = Family("mod-parts", 1, (0,))
@@ -100,47 +109,81 @@ POD2_IMAGE = Family(
 
 # --- element types ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Overpartition:
-    parts: Partition
-    overlined: tuple[int, ...]  # distinct magnitudes, decreasing
+# Each is a Record.  The types built, compared or hashed once per element
+# spell out their own __eq__ and __hash__: Record's generic field loop costs
+# several times as much per call.
+
+class Overpartition(Record):
+    __slots__ = ("parts", "overlined")  # overlined: distinct magnitudes, decreasing
+
+    def __init__(self, parts: Partition, overlined: tuple[int, ...]):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "overlined", overlined)
 
     @property
     def weight(self) -> int:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class DesignatedPartition:
+class DesignatedPartition(Record):
     # (magnitude, multiplicity, designated index), magnitudes decreasing,
     # 1 <= index <= multiplicity.
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def weight(self) -> int:
         return sum(d * m for d, m, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class TwoColorPartition:
-    red: Partition
-    blue: Partition  # all parts even
+class TwoColorPartition(Record):
+    __slots__ = ("red", "blue")  # blue: all parts even
+
+    def __init__(self, red: Partition, blue: Partition):
+        object.__setattr__(self, "red", red)
+        object.__setattr__(self, "blue", blue)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.red == other.red and self.blue == other.blue
+
+    def __hash__(self):
+        return hash((self.red, self.blue))
 
     @property
     def weight(self) -> int:
         return sum(self.red) + sum(self.blue)
 
 
-@dataclass(frozen=True)
-class OddStaircase:
+class OddStaircase(Record):
     """The partition (2m-1, 2m-3, ..., 3, 1) of weight m*m; 1 may be overlined."""
 
-    height: int
-    one_overlined: bool = False
+    __slots__ = ("height", "one_overlined")
 
-    def __post_init__(self):
-        if self.height == 0 and self.one_overlined:
+    def __init__(self, height: int, one_overlined: bool = False):
+        if height == 0 and one_overlined:
             raise InvalidPartitionError("empty odd staircase cannot be overlined")
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "one_overlined", one_overlined)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.height == other.height and self.one_overlined == other.one_overlined
+
+    def __hash__(self):
+        return hash((self.height, self.one_overlined))
 
     @property
     def parts(self) -> Partition:
@@ -151,9 +194,19 @@ class OddStaircase:
         return self.height * self.height
 
 
-@dataclass(frozen=True)
-class VTuple:
-    components: tuple[Any, ...]
+class VTuple(Record):
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[Any, ...]):
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
 
     @property
     def weight(self) -> int:
@@ -188,9 +241,9 @@ def format_element(f: Family, x: Any) -> str:
             toks[-1] += "~"
     elif tag == "designated":
         toks = map(_run_text, x.entries)
-    elif tag == "two-color":
-        pairs = sorted([(-v, "r") for v in x.red] + [(-v, "b") for v in x.blue])
-        toks = [f"{-v}{c}" for v, c in pairs]
+    elif tag == "two-color":  # by magnitude, decreasing; blue first among equals
+        pieces = sorted(_colored_runs(x.red, "r") + _colored_runs(x.blue, "b"))
+        toks = [text for _, _, text in pieces]
     elif tag == "vector":
         inner = ";".join(format_element(g, c) for g, c in zip(f.components, x.components))
         return f"({inner})"
@@ -204,6 +257,12 @@ def _run_text(entry: tuple[int, int, int]) -> str:
     """The text of one designated run (d, m, i): m copies of d, the i-th primed."""
     d, m, i = entry
     return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _colored_runs(p: Partition, color: str) -> tuple[tuple[int, str, str], ...]:
+    """(-d, color, text) of each run (d, m) of p, the text m copies of `d<color>`."""
+    return tuple((-d, color, "+".join([f"{d}{color}"] * m)) for d, m in runs(p))
 
 
 def parse_element(f: Family, s: str) -> Any:
@@ -371,7 +430,15 @@ def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
 
 @lru_cache(maxsize=None)
 def _cached_count(f: Family, n: int) -> int:
-    if f.tag != "vector":
+    """The number of elements of weight n, counted without building them."""
+    if f.tag in _RUN_CHOICES:
+        return _count_by_runs(f, n)
+    if f.tag == "two-color":  # red parts any, blue parts even
+        return sum(
+            _cached_count(EVEN_PARTS, b) * _cached_count(ORDINARY, n - b)
+            for b in range(0, n + 1, 2)
+        )
+    if f.tag != "vector":  # staircases: at most two elements per weight
         return sum(1 for _ in _generate(f, n))
     # Products of memoized component counts; the product is never materialized.
     total = 0
@@ -383,6 +450,30 @@ def _cached_count(f: Family, n: int) -> int:
                 break
         total += prod
     return total
+
+
+# How many ways m copies of the part d can occur in one element, per tag: an
+# element is a partition with a choice made for each of its runs (d, m).
+_RUN_CHOICES = {
+    "mod-parts": lambda f, d, m: d % f.modulus in f.residues,
+    "mod-distinct": lambda f, d, m: m == 1 and d % f.modulus in f.residues,
+    "pod": lambda f, d, m: d % 2 == 0 or m == 1,
+    "overpartition": lambda f, d, m: 2,  # the first copy overlined or not
+    "designated": lambda f, d, m: m,  # which copy is designated
+}
+
+
+def _count_by_runs(f: Family, n: int) -> int:
+    """The sum over the partitions of n of the product of the run choices:
+    one sweep over the weights per part size d, no partition built."""
+    choices = _RUN_CHOICES[f.tag]
+    table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
+    for d in range(1, n + 1):
+        table = [
+            table[w] + sum(choices(f, d, m) * table[w - m * d] for m in range(1, w // d + 1))
+            for w in range(n + 1)
+        ]
+    return table[n]
 
 
 def _generate(f: Family, n: int) -> Iterator:

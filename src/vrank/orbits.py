@@ -8,7 +8,6 @@ residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator
 
@@ -27,7 +26,7 @@ from .families import (
     enumerate_family,
     format_element,
 )
-from .partition import InvalidPartitionError, Partition
+from .partition import InvalidPartitionError, Partition, Record
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -125,10 +124,11 @@ def family_bijection(f: Family) -> tuple[Callable, Callable, Family]:
         raise OrbitError(f"no bijection available for family {f.tag}") from None
 
 
-@dataclass(frozen=True)
-class Orbit:
-    # (element, image tuple, rank), sorted by rank mod 3.
-    members: tuple[tuple[Any, VTuple, int], ...]
+class Orbit(Record):
+    __slots__ = ("members",)  # (element, image tuple, rank), sorted by rank mod 3
+
+    def __init__(self, members: tuple[tuple[Any, VTuple, int], ...]):
+        object.__setattr__(self, "members", members)
 
 
 def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbit]:
@@ -136,9 +136,11 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")
     forward, inverse, image = family_bijection(f)
+    # First, so a weight above the ceiling is refused before the tail check
+    # counts the tail families at every weight up to it.
+    elements = enumerate_family(f, n, ceiling=ceiling)
     if not tail_condition_holds(image, n % 3, n):
         raise OrbitError(f"tail weight condition fails for {f.tag} at residue {n % 3}")
-    elements = enumerate_family(f, n, ceiling=ceiling)
     seen = set()
     orbits = []
     for x in elements:  # already in canonical text order

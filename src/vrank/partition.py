@@ -3,7 +3,8 @@
 A partition is stored as a tuple of positive integers in weakly decreasing
 order; the empty tuple is the unique partition of 0.  All operations here are
 pure functions on those tuples, so values are freely shareable and hashable;
-`runs`, which every layer reads multiplicities from, is memoized.
+`runs`, which every layer reads multiplicities from, is memoized.  `Record`
+is the base of the package's other read-only value types.
 """
 
 from functools import lru_cache
@@ -37,6 +38,43 @@ class InvalidPartitionError(ValueError):
 
 class InvalidFrobeniusError(ValueError):
     pass
+
+
+class Record:
+    """Base of the read-only value types: its fields are its `__slots__`.
+
+    A subclass names its fields in `__slots__` and stores them in its own
+    `__init__` with `object.__setattr__`; afterwards setting or deleting an
+    attribute raises AttributeError.  Values are equal only to values of the
+    same class with equal fields, hash by their fields, repr as
+    `Name(field=value, ...)`, and pickle and copy through their constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def make_partition(parts: Iterable[int]) -> Partition:

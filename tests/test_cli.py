@@ -264,6 +264,40 @@ def test_negative_range_exits_2(capsys, argv):
     assert err.startswith("error:") and "must be >= 0" in err
 
 
+HUGE = str(10**20)  # refused before anything is sized by it
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--family", "pd", "--terms", HUGE),
+        ("verify", "--family", "pd", "--max-n", HUGE),
+        ("verify", "--family", "pd", "--max-n", "20", "--ceiling", HUGE),
+        ("enumerate", "--family", "pd", "--n", HUGE),
+        ("orbits", "--family", "pd", "--n", HUGE),
+    ],
+    ids=["series-terms", "verify-max-n", "verify-ceiling", "enumerate-n", "orbits-n"],
+)
+def test_oversized_numbers_exit_2(capsys, argv):
+    # a usage error with one error line, not an OverflowError traceback (exit 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large" in err and len(err.splitlines()) == 1
+
+
+def test_orbits_above_the_ceiling_exits_2_before_the_tail_check(capsys, monkeypatch):
+    # the tail check counts the tail families at every weight up to n, so it
+    # must not run for a weight the ceiling refuses
+    def no_tail_check(*args):
+        raise AssertionError("tail check ran")
+
+    monkeypatch.setattr(orbits, "tail_condition_holds", no_tail_check)
+    code, out, err = run(capsys, "orbits", "--family", "pd", "--n", "5000")
+    assert code == 2
+    assert out == "" and err == "error: weight 5000 exceeds enumeration ceiling 40\n"
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

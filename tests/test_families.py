@@ -7,6 +7,8 @@ from vrank.families import (
     A,
     A_IMAGE,
     DISTINCT_MULTIPLES_OF_3,
+    DISTINCT_ODD,
+    EVEN_PARTS,
     DesignatedPartition,
     EnumerationLimitError,
     Family,
@@ -38,6 +40,7 @@ from vrank.families import (
     parse_element,
 )
 from vrank.partition import KERNEL_CACHE_SIZE
+from vrank.series import family_series
 
 
 def test_membership_two_color():
@@ -229,6 +232,31 @@ def test_count_and_enumerate_refuse_negative_weight():
             with pytest.raises(ValueError, match="weight must be nonnegative"):
                 weight_of(f, -1)
     assert _cached_count.cache_info().currsize == before
+
+
+# --- counting without building ----------------------------------------------
+
+COUNTED = {
+    **{name: family_by_name(name) for name in ("pd", "a", "op", "pod", "ordinary", "p3_1,2", "d5_1,4")},
+    "even-parts": EVEN_PARTS,
+    "distinct-odd": DISTINCT_ODD,
+    "distinct-multiples-of-3": DISTINCT_MULTIPLES_OF_3,
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_counts_match_the_generators(name):
+    f = COUNTED[name]
+    for n in range(21):
+        assert count_family(f, n) == sum(1 for _ in _generate(f, n))
+
+
+@pytest.mark.parametrize("name", ["pd", "a", "op", "op2"])
+def test_counts_match_the_series_to_60(name):
+    # far past what a generator reaches in test time: pd(60) = 73,412,768
+    f = NAMED_FAMILIES[name]
+    s = family_series(f, 60)
+    assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
 
 
 # --- enumeration core -------------------------------------------------------

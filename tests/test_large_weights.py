@@ -1,15 +1,25 @@
 """Property tests for the bijections and the orbit operator at weights 50-300,
-far beyond the exhaustive range (n <= 24) of the other suites.
+far beyond the exhaustive range (n <= 24) of the other suites, and for the
+component kernels phi and wright at weights 1000-5000.
 
 Each strategy draws a weight, then an element of that weight: a designated
 partition, a two-color partition, or a pair of pod partitions; or an image
 tuple of pd, a or pod2, checked in the other direction.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from vrank.bijections import (
+    CoreQuotientTriple,
+    WrightDecomposition,
+    phi,
+    phi_inv,
+    wright,
+    wright_inv,
+)
 from vrank.families import (
     A,
+    DISTINCT_ODD,
     DesignatedPartition,
     OddStaircase,
     PD,
@@ -20,23 +30,24 @@ from vrank.families import (
     is_member,
 )
 from vrank.orbits import classify_case, family_bijection, o_hat, v_rank
-from vrank.partition import make_partition, scale2, staircase
+from vrank.partition import is_staircase, make_partition, scale2, staircase
 
 WEIGHTS = st.integers(50, 300)
 LARGE = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def partitions_of(draw, total):
-    """A partition of `total` into parts of at most 60: drawn parts, the last
-    one cut to fit, then parts of 60 and a remainder for what is left."""
+def partitions_of(draw, total, largest=60):
+    """A partition of `total` into parts of at most `largest`: drawn parts, the
+    last one cut to fit, then parts of `largest` and a remainder for what is
+    left."""
     left, parts = total, []
-    for v in draw(st.lists(st.integers(1, 60), max_size=30)):
+    for v in draw(st.lists(st.integers(1, largest), max_size=30)):
         if not left:
             break
         parts.append(min(v, left))
         left -= parts[-1]
-    parts += [60] * (left // 60) + [left % 60] * (left % 60 > 0)
+    parts += [largest] * (left // largest) + [left % largest] * (left % largest > 0)
     return make_partition(parts)
 
 
@@ -171,3 +182,54 @@ def test_a_image_at_large_weights(v):
 @given(image_tuples(st.tuples(ODD_STAIRCASES)))
 def test_pod2_image_at_large_weights(v):
     check_image_round_trip(POD2, v)
+
+
+# --- the component kernels at weights 1000-5000, both directions -------------
+
+KERNEL_WEIGHTS = st.integers(1000, 5000)
+KERNEL = settings(max_examples=8, deadline=None)
+
+
+@KERNEL
+@given(KERNEL_WEIGHTS.flatmap(lambda n: partitions_of(n, largest=400)))
+def test_phi_round_trip_at_kernel_weights(p):
+    t = phi(p)
+    assert is_staircase(t.core)
+    assert sum(t.core) + sum(t.even_a) + sum(t.even_b) == sum(p)
+    assert phi_inv(t) == p
+
+
+@KERNEL
+@given(KERNEL_WEIGHTS, st.integers(0, 40), st.data())
+def test_phi_inv_round_trip_at_kernel_weights(n, h, data):
+    half = (n - h * (h + 1) // 2) // 2
+    first = data.draw(st.integers(0, half))
+    quotients = [scale2(data.draw(partitions_of(w, largest=200))) for w in (first, half - first)]
+    t = CoreQuotientTriple(staircase(h), *quotients)
+    p = phi_inv(t)
+    assert sum(p) == sum(t.core) + sum(t.even_a) + sum(t.even_b)
+    assert phi(p) == t
+
+
+def _distinct_odd(halves) -> tuple[int, ...]:
+    return tuple(sorted((2 * v + 1 for v in halves), reverse=True))
+
+
+@KERNEL
+@given(*[st.sets(st.integers(0, 100), min_size=5, max_size=25).map(_distinct_odd)] * 2)
+def test_wright_round_trip_at_kernel_weights(mu1, mu2):
+    assume(1000 <= sum(mu1) + sum(mu2) <= 5000)
+    w = wright(mu1, mu2)
+    assert sum(w.pi) + w.triangle.weight == sum(mu1) + sum(mu2)
+    assert wright_inv(w) == (mu1, mu2)
+
+
+@KERNEL
+@given(KERNEL_WEIGHTS, st.integers(0, 30), st.booleans(), st.data())
+def test_wright_inv_round_trip_at_kernel_weights(n, m, overlined, data):
+    pi = scale2(data.draw(partitions_of((n - m * m) // 2, largest=200)))
+    w = WrightDecomposition(pi, OddStaircase(m, overlined and m > 0))
+    mu1, mu2 = wright_inv(w)
+    assert is_member(DISTINCT_ODD, mu1) and is_member(DISTINCT_ODD, mu2)
+    assert sum(mu1) + sum(mu2) == sum(pi) + m * m
+    assert wright(mu1, mu2) == w
