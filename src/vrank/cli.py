@@ -22,7 +22,6 @@ from .families import (
     parse_element,
 )
 from .partition import InvalidPartitionError
-from .selftest import run_selftest
 
 # verify's families, in argparse's order; bijection and orbits take those in orbits._LAMBDAS.
 CONGRUENCE_FAMILIES = ("a", "op2", "pd", "pod2")
@@ -150,6 +149,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only this verb loads the worked examples
+
     return run_selftest(print)
 
 

@@ -463,9 +463,23 @@ _RUN_CHOICES = {
 }
 
 
+# f -> its counts at weights 0..top, for the largest top asked for so far.
+_RUN_TABLES: dict[Family, list[int]] = {}
+
+
 def _count_by_runs(f: Family, n: int) -> int:
-    """The sum over the partitions of n of the product of the run choices:
-    one sweep over the weights per part size d, no partition built."""
+    """The sum over the partitions of n of the product of the run choices.
+    One table per family serves every weight up to its top; a weight above
+    the top rebuilds it to that weight, or to twice the old top if larger."""
+    table = _RUN_TABLES.get(f, ())
+    if len(table) <= n:
+        table = _RUN_TABLES[f] = _run_table(f, max(n, 2 * (len(table) - 1)))
+    return table[n]
+
+
+def _run_table(f: Family, n: int) -> list[int]:
+    """The counts of weights 0..n: one sweep over the weights per part size
+    d, no partition built."""
     choices = _RUN_CHOICES[f.tag]
     table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
     for d in range(1, n + 1):
@@ -473,7 +487,7 @@ def _count_by_runs(f: Family, n: int) -> int:
             table[w] + sum(choices(f, d, m) * table[w - m * d] for m in range(1, w // d + 1))
             for w in range(n + 1)
         ]
-    return table[n]
+    return table
 
 
 def _generate(f: Family, n: int) -> Iterator:

@@ -104,8 +104,8 @@ def tail_condition_holds(spec: Family, j: int, bound: int) -> bool:
     """True iff no combination of component 4..k weights up to `bound` sums
     to j mod 3 (over weights actually realized by each family)."""
     sums = {0}
-    for g in spec.components[3:]:
-        residues = {w % 3 for w in range(bound + 1) if count_family(g, w, ceiling=bound) > 0}
+    for g in spec.components[3:]:  # the top weight first, so one count table serves all
+        residues = {w % 3 for w in range(bound, -1, -1) if count_family(g, w, ceiling=bound) > 0}
         sums = {(s + r) % 3 for s in sums for r in residues}
     return j % 3 not in sums
 

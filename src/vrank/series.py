@@ -4,14 +4,33 @@ generating functions used to cross-check every enumeration count.
 A family's generating function is one exponent map {(a, b): e}, read as
 prod (q^a; q^b)_inf^e.  A named family's map is its published eta quotient
 prod f_a^e_a, f_a = (q^a; q^a)_inf, and a vector family's map is the sum of
-its components' maps, so no map is derived from a bijection.  Each f_a is
-applied in place in O(N sqrt N) by the pentagonal number theorem;
-residue-class factors (q^a; q^b)_inf, a < b, take an O(N) sweep per linear
-factor.
+its components' maps, so no map is derived from a bijection.
+
+`build_series` applies a map in as few sparse sweeps as it finds.  Every
+kernel is a Ramanujan theta f(s q^x, s q^y), whose O(sqrt(N/x)) nonzero
+coefficients are the taps of one in-place O(N sqrt N) sweep (`_apply_eta`);
+each unit of a kernel's exponent is one sweep.  The kernel table, with the
+eta vector each kernel stands for:
+
+    phi(q^a)  = f(q^a, q^a)       = f_2a^5 / (f_a^2 f_4a^2)   Jacobi
+    phi(-q^a) = f(-q^a, -q^a)     = f_a^2 / f_2a              Gauss
+    psi(q^a)  = f(q^a, q^3a)      = f_2a^2 / f_a              Gauss
+    psi(-q^a) = f(-q^a, -q^3a)    = f_a f_4a / f_2a
+    f_a       = f(-q^a, -q^2a)                                Euler
+
+The eta part of a map is peeled greedily in that order: each kernel, at each
+a from the smallest up, takes the largest exponent that moves every eta
+exponent it touches towards 0 without passing it; f_a takes what is left.
+So op2 = 1/phi(-q)^2 costs 2 sweeps, pod and the two theta families 1.
+
+Residue-class factors (q^r; q^t)_inf, 0 < r < t, come from the mod-parts
+and mod-distinct families.  A pair (r, t), (t - r, t) with a common exponent
+k is f(-q^r, -q^(t-r))^k / f_t^k by the Jacobi triple product, so the pair
+costs one sparse sweep per unit and adds -k to the eta part;
+(q^r; q^2r)_inf is f_r / f_2r.  Any other residue factor takes an O(N)
+sweep per linear factor (`_apply_linear`).
 """
 
-import itertools
-import math
 from collections import Counter
 
 from .families import Family, UnknownFamilyError
@@ -70,52 +89,111 @@ def _apply_linear(coeffs: list[int], k: int, exponent: int) -> None:
                 coeffs[i] += coeffs[i - k]
 
 
-def _apply_eta(coeffs: list[int], a: int, exponent: int) -> None:
-    """Multiply in place by f_a^exponent, one O(N sqrt(N/a)) sweep per unit:
-    f_a - 1 = sum_{k>=1} (-1)^k (q^(a k(3k-1)/2) + q^(a k(3k+1)/2)), so
-    c[i] += d * sum_g s_g c[i-g] over its terms s_g q^g multiplies by f_a when
+def _apply_eta(coeffs: list[int], taps: list[tuple[int, int]], scale: int, exponent: int) -> None:
+    """Multiply in place by (1 + scale * sum_g t_g q^g)^exponent, t_g = +-1,
+    one sweep per unit: c[i] += d * scale * sum_g t_g c[i-g] multiplies when
     swept downward (d = 1) and divides when swept upward (d = -1).  The taps
     g <= i change only at each offset g, so the sweep runs block by block."""
-    n, d = len(coeffs) - 1, 1 if exponent > 0 else -1
-    taps = [(g, d * (-1) ** k) for k in range(1, math.isqrt(n // a) + 1)
-            for g in (a * k * (3 * k - 1) // 2, a * k * (3 * k + 1) // 2) if g <= n]
+    n, m = len(coeffs) - 1, scale if exponent > 0 else -scale
     ends = [g for g, _ in taps[1:]] + [n + 1]
     for _ in range(abs(exponent)):
-        for m in range(len(taps)) if d < 0 else reversed(range(len(taps))):
-            add, sub = ([g for g, t in taps[: m + 1] if t == s] for s in (1, -1))
-            sweep = range(taps[m][0], ends[m])
-            for i in sweep if d < 0 else reversed(sweep):
-                coeffs[i] += sum([coeffs[i - g] for g in add]) - sum([coeffs[i - g] for g in sub])
+        for b in range(len(taps)) if m < 0 else reversed(range(len(taps))):
+            add, sub = ([g for g, t in taps[: b + 1] if t == s] for s in (1, -1))
+            sweep = range(taps[b][0], ends[b])
+            for i in sweep if m < 0 else reversed(sweep):
+                coeffs[i] += m * (sum([coeffs[i - g] for g in add]) - sum([coeffs[i - g] for g in sub]))
 
 
-def staircase_theta(truncation: int) -> PowerSeries:
-    """1 at each triangular number (weights of staircase partitions)."""
-    coeffs = [0] * (truncation + 1)
-    triangular = itertools.accumulate(itertools.count())
-    for w in itertools.takewhile(lambda w: w <= truncation, triangular):
-        coeffs[w] = 1
-    return PowerSeries(coeffs)
+def _theta_taps(x: int, y: int, sign: int, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The taps and scale of Ramanujan's f(sign q^x, sign q^y) - 1 up to q^n,
+    f(a, b) = sum_{k in Z} a^(k(k+1)/2) b^(k(k-1)/2): each k != 0 puts sign^k
+    at x k(k+1)/2 + y k(k-1)/2.  Two k share an offset only when x = y (k and
+    -k), so every tap has the one magnitude 1 or, when x = y, 2."""
+    taps = {}
+    for step in (1, -1):
+        k = step
+        while (g := x * k * (k + 1) // 2 + y * k * (k - 1) // 2) <= n:
+            taps[g] = sign ** (k % 2)
+            k += step
+    return sorted(taps.items()), 2 if x == y else 1
 
 
-def odd_staircase_theta(truncation: int) -> PowerSeries:
-    """1 at 0 and 2 at positive squares (overline doubles each m >= 1)."""
-    coeffs = [1] + [0] * truncation
-    for m in range(1, math.isqrt(truncation) + 1):
-        coeffs[m * m] = 2
-    return PowerSeries(coeffs)
+# The kernels of the eta peel, in the order it tries them: the theta
+# f(s q^(a x), s q^(a y)) for (x, y, s), and its eta vector {c: e}, the
+# product of f_(c a)^e.  By the Jacobi triple product
+# f(-q^x, -q^y) = (q^x; q^t)(q^y; q^t)(q^t; q^t), t = x + y.
+_ETA_KERNELS = (
+    ((1, 1, 1), {1: -2, 2: 5, 4: -2}),  # phi(q^a) = f_2a^5 / (f_a^2 f_4a^2), Jacobi
+    ((1, 1, -1), {1: 2, 2: -1}),  # phi(-q^a) = f_a^2 / f_2a, Gauss
+    ((1, 3, 1), {1: -1, 2: 2}),  # psi(q^a) = f_2a^2 / f_a, Gauss
+    ((1, 3, -1), {1: 1, 2: -1, 4: 1}),  # psi(-q^a) = f_a f_4a / f_2a
+    ((1, 2, -1), {1: 1}),  # f_a, Euler's pentagonal series; fits any rest
+)
+
+
+def _fit(eta: dict[int, int], vector: dict[int, int]) -> int:
+    """The exponent k of largest size such that each eta[c] - k * vector[c]
+    lies between 0 and eta[c]: the kernel takes k units off the map with no
+    sign change."""
+    for sign in (1, -1):
+        k = min(max(0, sign * eta.get(c, 0) // e) for c, e in vector.items())
+        if k:
+            return sign * k
+    return 0
+
+
+def _plan(factors: dict[tuple[int, int], int]) -> list[tuple[tuple | None, dict, int]]:
+    """Steps (theta, vector, k) whose vectors, times k, sum to `factors`,
+    with each (q^a; q^2a) read as f_a / f_2a.
+
+    A residue pair (r, t), (t - r, t) with 0 < r < t - r shares its common
+    exponent k with the Jacobi triple product f(-q^r, -q^(t-r)), which moves
+    f_t^-k to the eta part.  The eta part is peeled greedily: each kernel of
+    _ETA_KERNELS, at each a in increasing order, takes the largest exponent
+    that fits.  The rest of a residue-class factor is a linear step (theta
+    None)."""
+    eta, linear = Counter(), Counter()
+    for (a, b), e in factors.items():
+        if a == b:
+            eta[a] += e
+        elif b == 2 * a:  # (q^a; q^2a) = f_a / f_2a
+            eta.update({a: e, b: -e})
+        else:
+            linear[a, b] += e
+    steps = []
+    for r, t in sorted(linear):
+        pair = {(r, t): 1, (t - r, t): 1}
+        k = _fit(linear, pair) if 0 < r < t - r else 0
+        if k:
+            steps.append(((r, t - r, -1), {**pair, (t, t): 1}, k))
+            linear.subtract({key: k for key in pair})
+            eta[t] -= k
+    for (x, y, s), vector in _ETA_KERNELS:
+        for a in sorted(eta):
+            scaled = {c * a: e for c, e in vector.items()}
+            k = _fit(eta, scaled)
+            if k:
+                steps.append(((a * x, a * y, s), {(c, c): e for c, e in scaled.items()}, k))
+                eta.subtract({c: k * e for c, e in scaled.items()})
+    steps += [(None, {key: 1}, e) for key, e in linear.items() if e]
+    return sorted(steps, key=lambda step: -step[2])  # multiply while coefficients are small
 
 
 def build_series(factors: dict[tuple[int, int], int], truncation: int) -> PowerSeries:
-    """prod (q^a; q^b)_inf^e over the items ((a, b), e) of `factors`."""
+    """prod (q^a; q^b)_inf^e over the items ((a, b), e) of `factors`, one
+    sparse sweep per unit exponent of each step of `_plan`."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
+    if any(a <= 0 or b <= 0 for a, b in factors):
+        raise ValueError(f"factor offsets must be positive, got {sorted(factors)}")
     s = one(truncation)
-    for (a, b), exponent in factors.items():
-        if a == b:
-            _apply_eta(s.coeffs, a, exponent)
-        else:
+    for theta, vector, exponent in _plan(factors):
+        if theta is None:
+            ((a, b),) = vector
             for k in range(a, truncation + 1, b):
                 _apply_linear(s.coeffs, k, exponent)
+        else:
+            _apply_eta(s.coeffs, *_theta_taps(*theta, truncation), exponent)
     return s
 
 

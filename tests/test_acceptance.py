@@ -15,10 +15,14 @@ import time
 import pytest
 
 from vrank import orbits
-from vrank.families import A, NAMED_FAMILIES, OP2, PD, POD2, count_family, enumerate_family
+from vrank.families import (
+    A, NAMED_FAMILIES, ODD_STAIRCASE, OP2, PD, POD2, STAIRCASE, count_family, enumerate_family,
+)
 from vrank.golden import TABLES
 from vrank.selftest import _checks
-from vrank.series import family_series, odd_staircase_theta, scan_congruence, staircase_theta
+from vrank.series import family_series, scan_congruence
+
+from theta_oracles import odd_staircase_theta, staircase_theta
 
 # name -> (family, image space) for every family with a bijection
 FAMILIES = {
@@ -123,6 +127,7 @@ def test_criterion_8_theta_spot_values():
     squares = {m * m for m in range(1, 11)}
     ok &= ot[0] == 1
     ok &= all(ot[n] == (2 if n in squares else 0) for n in range(1, 101))
+    ok &= family_series(STAIRCASE, 100) == st and family_series(ODD_STAIRCASE, 100) == ot
     report("criterion 8: theta spot values to 100", ok)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -214,6 +215,33 @@ def test_series_csv(capsys):
     code, out, _ = run(capsys, "series", "--family", "staircase", "--terms", "7")
     assert code == 0
     assert out.splitlines() == ["0,1", "1,1", "2,0", "3,1", "4,0", "5,0", "6,1", "7,0"]
+
+
+# sha256 of the stdout of `vrank series --family <id> --terms 3000`, as the
+# engine with one pentagonal sweep per unit eta exponent and one linear sweep
+# per residue-class factor printed it.
+SERIES_3000_SHA256 = {
+    "pd": "c0c6c09ada3358949174a3ab637c23a6525f0a38c39a96e674bf626f287b5aed",
+    "a": "236a992775b00ee3eb817eda21a227a4c7fd639289881cf5eb33647f1d539781",
+    "pod": "f328bcba1a3cb99c72627f343757e094d3d1e3a18d14ffc440c5633d53157417",
+    "pod2": "ccbea7ba739a2f585486b47ea7fad412cb2186a64d02ccc210a06bd8ea76d7eb",
+    "op": "c158537965632bd267959221aa35863e4a06d4bf9e562ccaba2516308ddb82c7",
+    "op2": "6cfaa86c0749c3a499872b454ec559e2f4525be9198df5bd632f383b0ef3de19",
+    "ordinary": "c8625e9c1ddd72e633ba6e3ae6fb4677a36751e9d05ffd986fdce1ed6e242d12",
+    "staircase": "b2c6dccac2e201d13049dcb4c2f2e92e4e6b97a20855c87372e6284d8d8028ee",
+    "odd-staircase": "b6088ccbdf7222f23b8de2be215968e9fb1ca0209bf9b35e52c68f2b66e94dc6",
+    "p5_1,4": "6e980d988db03a73f048d587a0c93c4d00fcf0f3f51fe9f031724aad046abec2",
+    "d3_1,2": "d09e40fc41c19841937b493dc1215a384006016e786433470835e514737b8751",
+    "d2_1": "07f5eba2789169437f56f2d0f0ed5f7a1f426b2a533c47f1dec281fa33f6ffa8",
+    "d3_0": "267b1d41208a7d8eece1bb77fc3e0d3608d05203a1550d2fc65826d9b018ea0f",
+}
+
+
+@pytest.mark.parametrize("name", SERIES_3000_SHA256)
+def test_series_stdout_pinned_at_3000(capsys, name):
+    code, out, _ = run(capsys, "series", "--family", name, "--terms", "3000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_3000_SHA256[name]
 
 
 def test_selftest(capsys):

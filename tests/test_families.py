@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from vrank import families, orbits
 from vrank.families import (
     A,
     A_IMAGE,
@@ -257,6 +258,25 @@ def test_counts_match_the_series_to_60(name):
     f = NAMED_FAMILIES[name]
     s = family_series(f, 60)
     assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
+
+
+@pytest.mark.parametrize("f", [PD, OVERPARTITION, POD, DISTINCT_ODD], ids=lambda f: f.tag)
+def test_run_tables_serve_every_weight_in_any_order(f, monkeypatch):
+    from_scratch = [families._run_table(f, n)[n] for n in range(31)]
+    for order in (range(31), range(30, -1, -1), [17, 3, 30, 0, 29, 5, 12]):
+        monkeypatch.setattr(families, "_RUN_TABLES", {})
+        assert [families._count_by_runs(f, n) for n in order] == [from_scratch[n] for n in order]
+
+
+def test_tail_check_builds_one_count_table_per_family(monkeypatch):
+    builds = []
+    build = families._run_table
+    monkeypatch.setattr(families, "_run_table", lambda f, n: builds.append(f) or build(f, n))
+    monkeypatch.setattr(families, "_RUN_TABLES", {})
+    _cached_count.cache_clear()
+    for image in (PD_IMAGE, A_IMAGE, POD2_IMAGE):
+        assert orbits.tail_condition_holds(image, 2, 17)
+    assert builds and len(builds) == len(set(builds))
 
 
 # --- enumeration core -------------------------------------------------------

@@ -1,4 +1,8 @@
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vrank.families import (
     A,
@@ -19,16 +23,20 @@ from vrank.families import (
     family_by_name,
 )
 from vrank.series import (
+    _ETA_KERNELS,
     PowerSeries,
+    _apply_eta,
     _apply_linear,
+    _plan,
+    _theta_taps,
     build_series,
     family_series,
     generating_function,
-    odd_staircase_theta,
     one,
     scan_congruence,
-    staircase_theta,
 )
+
+from theta_oracles import odd_staircase_theta, staircase_theta
 
 N_TEST = 24
 
@@ -253,3 +261,145 @@ def test_congruence_scan_finds_violations():
     distinct = Family("mod-distinct", 1, (0,))
     violations = scan_congruence(distinct, 50)
     assert 0 in violations
+
+
+# --- the sparse-sweep planner against the pentagonal-only engine -------------
+
+def _pentagonal_sweep(coeffs, a, exponent):
+    """Multiply in place by f_a^exponent, one pentagonal-number sweep per unit
+    (the engine before the theta kernels, kept here as the reference)."""
+    n, d = len(coeffs) - 1, 1 if exponent > 0 else -1
+    taps = [(g, d * (-1) ** k) for k in range(1, math.isqrt(n // a) + 1)
+            for g in (a * k * (3 * k - 1) // 2, a * k * (3 * k + 1) // 2) if g <= n]
+    ends = [g for g, _ in taps[1:]] + [n + 1]
+    for _ in range(abs(exponent)):
+        for m in range(len(taps)) if d < 0 else reversed(range(len(taps))):
+            add, sub = ([g for g, t in taps[: m + 1] if t == s] for s in (1, -1))
+            sweep = range(taps[m][0], ends[m])
+            for i in sweep if d < 0 else reversed(sweep):
+                coeffs[i] += sum([coeffs[i - g] for g in add]) - sum([coeffs[i - g] for g in sub])
+
+
+def _reference_build(factors, truncation):
+    """One pentagonal sweep per unit of each f_a, one linear sweep per unit of
+    each linear factor of a residue class."""
+    coeffs = [1] + [0] * truncation
+    for (a, b), exponent in factors.items():
+        if a == b:
+            _pentagonal_sweep(coeffs, a, exponent)
+        else:
+            for k in range(a, truncation + 1, b):
+                _sweep(coeffs, k, 1, exponent)
+    return PowerSeries(coeffs)
+
+
+def _linear_exponents(factors, truncation):
+    """{k: e} with prod (1 - q^k)^e = prod (q^a; q^b)^e up to q^truncation:
+    the one form of a product that no rewriting of its factors changes."""
+    out = Counter()
+    for (a, b), e in factors.items():
+        for k in range(a, truncation + 1, b):
+            out[k] += e
+    return {k: e for k, e in out.items() if e}
+
+
+def _plan_sum(factors):
+    total = Counter()
+    for _, vector, k in _plan(factors):
+        for key, e in vector.items():
+            total[key] += k * e
+    return {key: e for key, e in total.items() if e}
+
+
+def _plan_sweeps(factors):
+    return sum(abs(k) for _, _, k in _plan(factors))
+
+
+eta_maps = st.dictionaries(
+    st.tuples(st.integers(1, 12)).map(lambda a: (a[0], a[0])), st.integers(-5, 5), max_size=4
+)
+
+
+@st.composite
+def residue_maps(draw):
+    """Up to three residue classes mod t, most with their pair t - r, some
+    exponents shared and some not, plus an eta factor now and then."""
+    factors = Counter()
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(2, 12))
+        r = draw(st.integers(1, t - 1))
+        e = draw(st.integers(-3, 3))
+        factors[r, t] += e
+        if draw(st.booleans()):
+            factors[t - r, t] += draw(st.sampled_from([e, e, -e, 2 * e, e + 1]))
+    out = {key: e for key, e in factors.items() if e}
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 6))
+        out[a, a] = draw(st.integers(-2, 2))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta_maps, st.integers(0, 500))
+def test_random_eta_maps_match_pentagonal_engine(factors, truncation):
+    assert build_series(factors, truncation) == _reference_build(factors, truncation)
+    assert _plan_sum(factors) == {key: e for key, e in factors.items() if e}
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_maps(), st.integers(0, 300))
+def test_random_residue_maps_match_linear_sweeps(factors, truncation):
+    assert build_series(factors, truncation) == _reference_build(factors, truncation)
+    assert _linear_exponents(_plan_sum(factors), 400) == _linear_exponents(factors, 400)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("kernel", range(len(_ETA_KERNELS)))
+def test_eta_kernels_equal_their_eta_forms_to_3000(kernel, a):
+    (x, y, sign), vector = _ETA_KERNELS[kernel]
+    s = one(3000)
+    _apply_eta(s.coeffs, *_theta_taps(a * x, a * y, sign, 3000), 1)
+    assert s == _reference_build({(c * a, c * a): e for c, e in vector.items()}, 3000)
+
+
+@pytest.mark.parametrize("r, t", [(1, 3), (1, 4), (1, 5), (2, 7)])
+def test_triple_product_kernel_equals_its_linear_form_to_3000(r, t):
+    # (q^r; q^t)(q^(t-r); q^t)(q^t; q^t) = sum_k (-1)^k q^(t k(k-1)/2 + r k)
+    s = one(3000)
+    _apply_eta(s.coeffs, *_theta_taps(r, t - r, -1, 3000), 1)
+    assert s == _reference_build({(r, t): 1, (t - r, t): 1, (t, t): 1}, 3000)
+
+
+@pytest.mark.parametrize(
+    "name, sweeps",
+    [("op2", 2), ("pod2", 2), ("op", 1), ("pod", 1), ("staircase", 1), ("odd-staircase", 1),
+     ("pd", 4), ("a", 2), ("ordinary", 1), ("p5_1,4", 2), ("d3_1,2", 4), ("d2_1", 2)],
+)
+def test_plan_sizes(name, sweeps):
+    factors = generating_function(family_by_name(name))
+    assert _plan_sweeps(factors) == sweeps
+    assert all(theta is not None for theta, _, _ in _plan(factors))
+
+
+def test_plan_vectors_sum_to_the_map():
+    for f in [*NAMED_FAMILIES.values(), PD_IMAGE, A_IMAGE, POD2_IMAGE]:
+        assert _plan_sum(generating_function(f)) == generating_function(f), f
+    for name in ["p5_1,4", "d3_1,2", "d2_1", "d3_0", "p7_1,2,5,6", "d4_1,3"]:
+        factors = generating_function(family_by_name(name))
+        assert _linear_exponents(_plan_sum(factors), 500) == _linear_exponents(factors, 500), name
+
+
+def test_unpaired_residue_keeps_linear_sweeps():
+    plan = _plan({(1, 5): -2, (4, 5): -1, (2, 7): 1})
+    assert sorted((*vector, k) for theta, vector, k in plan if theta is None) == [
+        ((1, 5), -1), ((2, 7), 1)
+    ]
+    assert build_series({(1, 5): -2, (4, 5): -1, (2, 7): 1}, 300) == _reference_build(
+        {(1, 5): -2, (4, 5): -1, (2, 7): 1}, 300
+    )
+
+
+def test_nonpositive_offsets_rejected():
+    for factors in ({(0, 0): 1}, {(0, 3): -1}, {(2, -1): 1}):
+        with pytest.raises(ValueError):
+            build_series(factors, 10)
