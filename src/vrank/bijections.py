@@ -12,7 +12,10 @@ The pipelines factor an element into independent components, so exhaustive
 slices feed phi, psi and wright (and their inverses) the same component many
 times.  Those six kernels are pure and return immutable values, so each keeps
 an `lru_cache` of its last `KERNEL_CACHE_SIZE` distinct arguments; an input a
-kernel rejects is not cached and raises again on every call.
+kernel rejects is not cached and raises again on every call.  `phi_inv` and
+`wright_inv` take a `CoreQuotientTriple` or `WrightDecomposition`, or the
+plain tuple of its fields: a named tuple hashes and compares as that tuple,
+so both forms share one cache entry, and the pipelines pass plain tuples.
 """
 
 from functools import lru_cache
@@ -195,7 +198,7 @@ def lambda_pd(dp: DesignatedPartition) -> VTuple:
 
 def lambda_pd_inv(v: VTuple) -> DesignatedPartition:
     l1, l2, l3, core, l5 = v.components
-    alpha = phi_inv(CoreQuotientTriple(core, l1, l2))
+    alpha = phi_inv((core, l1, l2))
     beta = psi_inv(l3, l5)
     return delta_inv(alpha, beta)
 
@@ -209,7 +212,7 @@ def lambda_a(tc: TwoColorPartition) -> VTuple:
 
 def lambda_a_inv(v: VTuple) -> TwoColorPartition:
     l1, l2, l3, core = v.components
-    return TwoColorPartition(phi_inv(CoreQuotientTriple(core, l1, l2)), l3)
+    return TwoColorPartition(phi_inv((core, l1, l2)), l3)
 
 
 # --- modified Wright map ----------------------------------------------------
@@ -266,7 +269,9 @@ def wright_inv(w: WrightDecomposition) -> tuple[Partition, Partition]:
         a, b = head + top, bottom
     for row in (a, b):
         if any(row[i] <= row[i + 1] for i in range(len(row) - 1)):
-            raise InvalidPartitionError(f"not in the image of the map: {w}")
+            raise InvalidPartitionError(
+                f"not in the image of the map: {WrightDecomposition(pi, tri)}"
+            )
     mu1 = tuple(2 * v + 1 for v in a)
     mu2 = tuple(2 * v + 1 for v in b)
     return mu1, mu2
@@ -291,5 +296,5 @@ def lambda_pod(b: VTuple) -> VTuple:
 
 def lambda_pod_inv(v: VTuple) -> VTuple:
     l1, l2, pi, tri = v.components
-    mu1, mu2 = wright_inv(WrightDecomposition(pi, tri))
+    mu1, mu2 = wright_inv((pi, tri))
     return VTuple((union(l1, mu1), union(l2, mu2)))

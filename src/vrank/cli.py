@@ -106,17 +106,17 @@ def cmd_verify(args) -> int:
     failures = []
     for method in methods:
         limit = args.max_n if method == "series" else min(args.max_n, args.ceiling)
+        # Built before the range line, so a size no list can hold prints no range.
+        violations = series.scan_congruence(f, args.max_n) if method == "series" else []
         _report_range(args, method, limit)
-        if method == "series":
-            violations = series.scan_congruence(f, args.max_n)
-            for n in violations:
-                failures.append(f"series: coefficient at {3 * n + 2} not divisible by 3")
-        elif method == "enumerate":
+        for n in violations:
+            failures.append(f"series: coefficient at {3 * n + 2} not divisible by 3")
+        if method == "enumerate":
             for n in range(2, limit + 1, 3):
                 c = count_family(f, n, ceiling=args.ceiling)
                 if c % 3 != 0:
                     failures.append(f"enumerate: count({args.family}, {n}) = {c}")
-        else:  # orbits
+        elif method == "orbits":
             for n in range(2, limit + 1, 3):
                 try:
                     orbits.build_orbits(f, n, ceiling=args.ceiling)
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
         orbits.OrbitError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a size the option checks let through, but no list can hold
+        print("error: the requested size is too large to hold in memory", file=sys.stderr)
         return 2
 
 

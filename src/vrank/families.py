@@ -10,6 +10,10 @@ elements) sorted by text.  The slices of vector *components* are memoized per
 (family, weight) in `_component_slice`, so a vector slice is the product of
 cached pools over the weight splits whose pools are all nonempty, and its
 text is joined from the cached component texts instead of formatted again.
+A designated (pd) slice is joined per partition in the same way: each run
+(d, m) met in the slice gets its m designation entries and their texts once,
+and the product over a partition's runs gives every element's entries and
+text together, so no element is formatted only to be sorted.
 Top-level slices are not cached: `enumerate_family` builds each one afresh
 and returns a new list.
 """
@@ -552,6 +556,25 @@ def _text_slice(f: Family, n: int) -> Slice:
         ]
         pairs.sort(key=itemgetter(0))
         return tuple(t for t, _ in pairs), tuple(VTuple(combo) for _, combo in pairs)
+    if f.tag == "designated":
+        # The same text format_element gives, joined from run texts made
+        # once per run (d, m) of the slice rather than once per element.
+        choices = {}  # (d, m) -> (entries, texts) of the m choices of a run
+        pairs = []
+        for p in _ordinary_partitions(n):
+            per_run = []
+            for run in runs(p):
+                if run not in choices:
+                    entries = tuple((*run, i) for i in range(1, run[1] + 1))
+                    choices[run] = (entries, tuple(map(_run_text, entries)))
+                per_run.append(choices[run])
+            pairs += zip(
+                map("+".join, itertools.product(*(texts for _, texts in per_run))),
+                itertools.product(*(entries for entries, _ in per_run)),
+            )
+        pairs.sort(key=itemgetter(0))
+        texts = tuple(t or "0" for t, _ in pairs)  # "" is the empty element, written 0
+        return texts, tuple(DesignatedPartition(e) for _, e in pairs)
     pairs = [(format_element(f, x), x) for x in _generate(f, n)]
     pairs.sort(key=itemgetter(0))
     return tuple(t for t, _ in pairs), tuple(x for _, x in pairs)

@@ -8,6 +8,7 @@ residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
 """
 
+import gc
 from functools import lru_cache
 from typing import Any, Callable, Iterator
 
@@ -76,15 +77,18 @@ def o_hat(v: VTuple) -> VTuple:
     if case is None:
         raise OrbitError(f"orbit operator undefined for {v.components}")
     c = v.components
-    return VTuple(_moved_triple(1 if case == CASE1 else 2, c[0], c[1], c[2]) + c[3:])
+    return VTuple(_moved_triple(case, c[0], c[1], c[2]) + c[3:])
 
 
 @lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
 def _moved_triple(
-    r: int, c0: Partition, c1: Partition, c2: Partition
+    case: str, c0: Partition, c1: Partition, c2: Partition
 ) -> tuple[Partition, Partition, Partition]:
-    """The first three components after the shift of residue r.  Every tail,
-    weight and family reuses the same triples, so the result is memoized."""
+    """The first three components after the shift of the residue `case`
+    moves.  Every tail, weight and family reuses the same triples, so the
+    result is memoized.  The components come as separate arguments, so an
+    entry keeps one key tuple and no slice of the V-tuple besides."""
+    r = 1 if case == CASE1 else 2
     return (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
 
 
@@ -132,45 +136,66 @@ class Orbit(Record):
 
 
 def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbit]:
-    """Orbit decomposition of the weight-n slice of f (n == 2 mod 3)."""
+    """Orbit decomposition of the weight-n slice of f (n == 2 mod 3).
+
+    The cyclic garbage collector is paused while the slice is enumerated and
+    its orbits are built: the pass makes only acyclic tuples and records, so
+    the collections its allocations would trigger walk every live object and
+    free next to nothing.  The youngest generation is collected once before
+    the pause, so cyclic garbage the caller has just left is not held through
+    it.  The caller's collector state is restored on every exit, an error
+    included; a collector the caller had disabled is neither run nor enabled.
+    """
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")
     forward, inverse, image = family_bijection(f)
-    # First, so a weight above the ceiling is refused before the tail check
-    # counts the tail families at every weight up to it.
-    elements = enumerate_family(f, n, ceiling=ceiling)
-    if not tail_condition_holds(image, n % 3, n):
-        raise OrbitError(f"tail weight condition fails for {f.tag} at residue {n % 3}")
-    seen = set()
-    orbits = []
-    for x in elements:  # already in canonical text order
-        if x in seen:
-            continue
-        try:
-            v = forward(x)
-            y = inverse(v)
-            if y != x:
-                raise OrbitError(
-                    f"round trip of {format_element(f, x)} at n={n} "
-                    f"gives {format_element(f, y)}"
-                )
-            members = [(y, v, v_rank(v))]
-            for _ in range(2):  # o_hat^3 is the identity, so two steps close the orbit
-                v = o_hat(v)
-                members.append((inverse(v), v, v_rank(v)))
-        except InvalidPartitionError as e:  # an image outside the codomain
-            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} fails: {e}") from e
-        block = {m[0] for m in members}
-        if len(block) != 3:
-            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")
-        seen |= block
-        members.sort(key=lambda m: m[2] % 3)
-        if [m[2] % 3 for m in members] != [0, 1, 2]:
-            raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
-        orbits.append(Orbit(tuple(members)))
-    if 3 * len(orbits) != len(elements):
-        raise OrbitError(f"{len(orbits)} orbits cover {len(elements)} elements at n={n}")
-    return orbits
+    collecting = gc.isenabled()
+    if collecting:
+        gc.collect(0)  # the caller's young cyclic garbage, so the pass can reuse its memory
+        gc.disable()
+    try:
+        # First, so a weight above the ceiling is refused before the tail
+        # check counts the tail families at every weight up to it.
+        elements = enumerate_family(f, n, ceiling=ceiling)
+        if not tail_condition_holds(image, n % 3, n):
+            raise OrbitError(f"tail weight condition fails for {f.tag} at residue {n % 3}")
+        seen = set()  # later members of earlier orbits; an orbit's x is never met again
+        orbits = []
+        for x in elements:  # already in canonical text order
+            if x in seen:
+                continue
+            try:
+                v0 = forward(x)
+                y0 = inverse(v0)
+                if y0 != x:
+                    raise OrbitError(
+                        f"round trip of {format_element(f, x)} at n={n} "
+                        f"gives {format_element(f, y0)}"
+                    )
+                v1 = o_hat(v0)  # o_hat^3 is the identity, so two steps close the orbit
+                y1 = inverse(v1)
+                v2 = o_hat(v1)
+                y2 = inverse(v2)
+            except InvalidPartitionError as e:  # an image outside the codomain
+                raise OrbitError(f"orbit of {format_element(f, x)} at n={n} fails: {e}") from e
+            if y0 == y1 or y1 == y2 or y0 == y2:
+                raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")
+            seen.add(y1)
+            seen.add(y2)
+            r0, r1, r2 = v_rank(v0), v_rank(v1), v_rank(v2)
+            members = [None, None, None]  # slot k holds the member of rank == k mod 3
+            members[r0 % 3] = (y0, v0, r0)
+            members[r1 % 3] = (y1, v1, r1)
+            members[r2 % 3] = (y2, v2, r2)
+            if None in members:
+                raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
+            orbits.append(Orbit(tuple(members)))
+        if 3 * len(orbits) != len(elements):
+            raise OrbitError(f"{len(orbits)} orbits cover {len(elements)} elements at n={n}")
+        return orbits
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # --- reports ----------------------------------------------------------------

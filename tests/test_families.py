@@ -304,6 +304,15 @@ def test_enumeration_matches_reference(name):
         assert len(set(elems)) == len(elems) == count_family(f, n)
 
 
+def test_pd_slice_order_matches_the_formatted_sort():
+    # pd slice texts are joined per partition, not written by format_element:
+    # the order and every text must still be what format_element gives
+    for n in range(17):
+        elems = enumerate_family(PD, n)
+        assert elems == sorted(_generate(PD, n), key=lambda x: format_element(PD, x))
+        assert families._text_slice(PD, n)[0] == tuple(format_element(PD, x) for x in elems)
+
+
 @pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
 def test_enumeration_returns_a_fresh_list(name):
     f = CORE_FAMILIES[name]

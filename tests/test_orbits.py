@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from vrank.families import (
     A,
     A_IMAGE,
     EVEN_PARTS,
+    EnumerationLimitError,
     Family,
     OddStaircase,
     ORDINARY,
@@ -283,6 +285,61 @@ def test_build_orbits_names_an_orbit_that_misses_a_rank_residue(monkeypatch):
     monkeypatch.setattr(orbits_module, "o_hat", lambda v: next(images))
     with pytest.raises(OrbitError, match=r"orbit of 1'\+1\+1\+1\+1 at n=5 misses a rank residue"):
         build_orbits(PD, 5)
+
+
+def test_build_orbits_pauses_the_collector_and_restores_it(monkeypatch):
+    # the cyclic collector is off during the pass, after one collection of
+    # the youngest generation, and on again after a return, an OrbitError or
+    # an error from the enumeration inside the pass
+    generations, states = [], []
+
+    def record(phase, info):
+        generations.append(info["generation"])
+
+    def observed(v):
+        states.append((gc.isenabled(), tuple(generations)))
+        return o_hat(v)
+
+    assert gc.isenabled()
+    monkeypatch.setattr(orbits_module, "o_hat", observed)
+    gc.callbacks.append(record)
+    try:
+        build_orbits(PD, 5)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(states) == 2 * count_family(PD, 5) // 3
+    assert all(state == (False, states[0][1]) for state in states)
+    assert 0 in states[0][1]
+    assert gc.isenabled()
+    with pytest.raises(EnumerationLimitError):
+        build_orbits(PD, 5, ceiling=2)
+    assert gc.isenabled()
+    monkeypatch.setattr(orbits_module, "o_hat", lambda v: v)
+    with pytest.raises(OrbitError, match="is degenerate"):
+        build_orbits(PD, 2)
+    assert gc.isenabled()
+
+
+def test_build_orbits_leaves_a_paused_collector_paused(monkeypatch):
+    # and runs no collection of its own for a caller that paused it
+    generations = []
+
+    def record(phase, info):
+        generations.append(info["generation"])
+
+    gc.callbacks.append(record)
+    gc.disable()
+    try:
+        build_orbits(PD, 5)
+        assert not gc.isenabled()
+        monkeypatch.setattr(orbits_module, "o_hat", lambda v: v)
+        with pytest.raises(OrbitError, match="is degenerate"):
+            build_orbits(PD, 2)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+        gc.callbacks.remove(record)
+    assert generations == []
 
 
 def test_build_orbits_rejects_wrong_residue():
