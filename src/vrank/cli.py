@@ -6,6 +6,7 @@ Verbs: enumerate, bijection, orbits, verify, series, selftest.  Exit codes:
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import orbits, series
 from .families import (
@@ -154,7 +155,10 @@ def cmd_selftest(args) -> int:
     return run_selftest(print)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsers refer to their actions and back,
+    so one built per call would be left as cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="vrank",
         description="Partition bijections, orbit decompositions, and mod-3 "

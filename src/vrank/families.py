@@ -5,20 +5,26 @@ partitions (tuples) or one of the read-only `Record` types below; every family
 has a canonical text form, and enumeration is sorted lexicographically on that
 form so golden outputs are stable.
 
-A weight slice is built as a pair of parallel tuples (canonical texts,
-elements) sorted by text.  The slices of vector *components* are memoized per
-(family, weight) in `_component_slice`, so a vector slice is the product of
-cached pools over the weight splits whose pools are all nonempty, and its
-text is joined from the cached component texts instead of formatted again.
-A designated (pd) slice is joined per partition in the same way: each run
-(d, m) met in the slice gets its m designation entries and their texts once,
-and the product over a partition's runs gives every element's entries and
-text together, so no element is formatted only to be sorted.
-Top-level slices are not cached: `enumerate_family` builds each one afresh
-and returns a new list.
+Every family but a vector and the two staircases is a partition with one
+choice made for each run of m copies of a part d: which copy is designated,
+whether the first is overlined, how many copies are blue, or whether the run
+is allowed at all.  `_run_options(f, d, m)` states those choices once, as
+their pieces and texts, and serves counting, enumeration and text alike:
+`count_family` sweeps one table per family with the number of choices, and
+a weight slice joins each element's text from its runs' texts, so no such
+element is formatted only to be sorted.  A vector's counts convolve its
+components' tables, and a staircase family is counted from its generator.
+
+A weight slice is a pair of parallel tuples (canonical texts, elements)
+sorted by text.  The slices of vector *components* are memoized per (family,
+weight) in `_component_slice`, so a vector slice is the product of cached
+pools over the weight splits whose pools are all nonempty, and its text is
+joined from the cached component texts.  Top-level slices are not cached:
+`enumerate_family` builds each one afresh and returns a new list.
 """
 
 import itertools
+import math
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterator
@@ -366,7 +372,8 @@ def is_member(f: Family, x: Any) -> bool:
             return len(set(x)) == len(x) and all(v % f.modulus in f.residues for v in x)
         if tag == "staircase":
             return is_staircase(x)
-        return _odd_parts_distinct(x)  # pod
+        odd = [v for v in x if v % 2]  # pod: no odd part repeats
+        return len(odd) == len(set(odd))
     if tag == "overpartition":
         _require_type(x, Overpartition, f)
         check_partition(x.parts)
@@ -407,136 +414,126 @@ def _require_type(x, kind, f: Family):
         raise ShapeMismatchError(f"family {f.tag} expects {kind.__name__}, got {type(x).__name__}")
 
 
-def _odd_parts_distinct(p: Partition) -> bool:
-    """The pod condition: no odd part repeats."""
-    odd = [v for v in p if v % 2]
-    return len(odd) == len(set(odd))
-
-
 # --- enumeration ------------------------------------------------------------
 
 def enumerate_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list:
     """All elements of weight n, sorted by canonical text form."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if n > ceiling:
-        raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
-    return list(_text_slice(f, n)[1])
+    return list(_text_slice(f, _checked_weight(n, ceiling))[1])
 
 
 def count_family(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> int:
+    return _counts(f, _checked_weight(n, ceiling))[n]
+
+
+def _checked_weight(n: int, ceiling: int) -> int:
     if n < 0:
         raise ValueError("weight must be nonnegative")
     if n > ceiling:
         raise EnumerationLimitError(f"weight {n} exceeds enumeration ceiling {ceiling}")
-    return _cached_count(f, n)
-
-
-@lru_cache(maxsize=None)
-def _cached_count(f: Family, n: int) -> int:
-    """The number of elements of weight n, counted without building them."""
-    if f.tag in _RUN_CHOICES:
-        return _count_by_runs(f, n)
-    if f.tag == "two-color":  # red parts any, blue parts even
-        return sum(
-            _cached_count(EVEN_PARTS, b) * _cached_count(ORDINARY, n - b)
-            for b in range(0, n + 1, 2)
-        )
-    if f.tag != "vector":  # staircases: at most two elements per weight
-        return sum(1 for _ in _generate(f, n))
-    # Products of memoized component counts; the product is never materialized.
-    total = 0
-    for split in _weight_splits(n, len(f.components)):
-        prod = 1
-        for g, w in zip(f.components, split):
-            prod *= _cached_count(g, w)
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
-# How many ways m copies of the part d can occur in one element, per tag: an
-# element is a partition with a choice made for each of its runs (d, m).
-_RUN_CHOICES = {
-    "mod-parts": lambda f, d, m: d % f.modulus in f.residues,
-    "mod-distinct": lambda f, d, m: m == 1 and d % f.modulus in f.residues,
-    "pod": lambda f, d, m: d % 2 == 0 or m == 1,
-    "overpartition": lambda f, d, m: 2,  # the first copy overlined or not
-    "designated": lambda f, d, m: m,  # which copy is designated
-}
+    return n
 
 
 # f -> its counts at weights 0..top, for the largest top asked for so far.
-_RUN_TABLES: dict[Family, list[int]] = {}
+_COUNTS: dict[Family, list[int]] = {}
 
 
-def _count_by_runs(f: Family, n: int) -> int:
-    """The sum over the partitions of n of the product of the run choices.
+def _counts(f: Family, n: int) -> list[int]:
+    """f's counts at weights 0..n at least, counted without building elements.
     One table per family serves every weight up to its top; a weight above
     the top rebuilds it to that weight, or to twice the old top if larger."""
-    table = _RUN_TABLES.get(f, ())
+    table = _COUNTS.get(f, ())
     if len(table) <= n:
-        table = _RUN_TABLES[f] = _run_table(f, max(n, 2 * (len(table) - 1)))
-    return table[n]
+        table = _COUNTS[f] = _count_table(f, max(n, 2 * (len(table) - 1)))
+    return table
 
 
-def _run_table(f: Family, n: int) -> list[int]:
-    """The counts of weights 0..n: one sweep over the weights per part size
-    d, no partition built."""
-    choices = _RUN_CHOICES[f.tag]
+def _count_table(f: Family, n: int) -> list[int]:
+    """The counts of weights 0..n."""
+    if f.tag == "vector":  # the convolution of the component counts
+        table = [1] + [0] * n
+        for g in f.components:
+            counts = _counts(g, n)
+            table = [sum(table[v] * counts[w - v] for v in range(w + 1)) for w in range(n + 1)]
+        return table
+    if f.tag not in _RUN_ELEMENTS:  # the staircases: at most two elements per weight
+        return [len(_generate(f, w)) for w in range(n + 1)]
+    # The sum over the partitions of n of the product of the run choices:
+    # one sweep over the weights per part size d, no partition built.
     table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
     for d in range(1, n + 1):
+        ways = [0] + [len(_run_options(f, d, m)[1]) for m in range(1, n // d + 1)]
         table = [
-            table[w] + sum(choices(f, d, m) * table[w - m * d] for m in range(1, w // d + 1))
+            table[w] + sum(ways[m] * table[w - m * d] for m in range(1, w // d + 1))
             for w in range(n + 1)
         ]
     return table
 
 
-def _generate(f: Family, n: int) -> Iterator:
-    """The elements of weight n of a non-vector family, in no set order."""
+def _run_options(f: Family, d: int, m: int) -> tuple[tuple, tuple[str, ...]]:
+    """The choices for m copies of the part d in an element of f, as parallel
+    tuples (pieces, texts).  A piece is the choice's share of the element, as
+    `_RUN_ELEMENTS` reads it; a text is the run's tokens in the element text."""
     tag = f.tag
+    if tag == "designated":  # which copy is designated: the entry (d, m, i)
+        entries = tuple((d, m, i) for i in range(1, m + 1))
+        return entries, tuple(map(_run_text, entries))
+    if tag == "two-color":  # (red, blue) parts: b blue copies, written first
+        blues = range(m + 1) if d % 2 == 0 else (0,)  # an odd part is red
+        return (
+            tuple(((d,) * (m - b), (d,) * b) for b in blues),
+            tuple("+".join([f"{d}b"] * b + [f"{d}r"] * (m - b)) for b in blues),
+        )
+    plain = "+".join([str(d)] * m)
+    if tag == "overpartition":  # the overlined part: the first copy, or none
+        return ((d,), ()), (f"{d}~" + plain[len(str(d)):], plain)
     if tag == "mod-parts":
-        allowed = set(f.residues)
-        yield from _restricted_partitions(n, n, f.modulus, allowed, distinct=False)
+        allowed = d % f.modulus in f.residues
     elif tag == "mod-distinct":
-        allowed = set(f.residues)
-        yield from _restricted_partitions(n, n, f.modulus, allowed, distinct=True)
-    elif tag == "staircase":
-        for k in itertools.count():
-            w = k * (k + 1) // 2
-            if w > n:
-                break
-            if w == n:
-                yield staircase(k)
-    elif tag == "odd-staircase":
-        for m in itertools.count():
-            if m * m > n:
-                break
-            if m * m == n:
-                yield OddStaircase(m, False)
-                if m > 0:
-                    yield OddStaircase(m, True)
-    elif tag == "pod":
-        yield from filter(_odd_parts_distinct, _ordinary_partitions(n))
-    elif tag == "overpartition":
-        for p in _ordinary_partitions(n):
-            mags = [d for d, _ in runs(p)]
-            for r in range(len(mags) + 1):
-                for over in itertools.combinations(mags, r):
-                    yield Overpartition(p, over)
-    elif tag == "designated":
-        for p in _ordinary_partitions(n):
-            choices = [[(d, m, i) for i in range(1, m + 1)] for d, m in runs(p)]
-            yield from map(DesignatedPartition, itertools.product(*choices))
-    elif tag == "two-color":
-        for b in range(0, n + 1, 2):
-            for blue in _generate(EVEN_PARTS, b):
-                for red in _ordinary_partitions(n - b):
-                    yield TwoColorPartition(red, blue)
+        allowed = m == 1 and d % f.modulus in f.residues
+    elif tag == "pod":  # no odd part repeats
+        allowed = d % 2 == 0 or m == 1
     else:
         raise UnknownFamilyError(f.tag)
+    return (((d,) * m,), (plain,)) if allowed else ((), ())  # the run's parts, if allowed
+
+
+def _concat(runs: tuple[Partition, ...]) -> Partition:
+    return sum(runs, EMPTY)
+
+
+def _plain_elements(p: Partition, pieces: list[tuple]) -> Iterator[Partition]:
+    return map(_concat, itertools.product(*pieces))
+
+
+# The elements of a partition p, given the pieces of each of its runs'
+# choices: one element per choice for every run, in itertools.product order.
+_RUN_ELEMENTS = {
+    "mod-parts": _plain_elements,
+    "mod-distinct": _plain_elements,
+    "pod": _plain_elements,
+    "overpartition": lambda p, pieces: map(
+        Overpartition, itertools.repeat(p), map(_concat, itertools.product(*pieces))
+    ),
+    "designated": lambda p, pieces: map(DesignatedPartition, itertools.product(*pieces)),
+    "two-color": lambda p, pieces: map(
+        TwoColorPartition,
+        map(_concat, itertools.product(*([red for red, _ in run] for run in pieces))),
+        map(_concat, itertools.product(*([blue for _, blue in run] for run in pieces))),
+    ),
+}
+
+
+def _generate(f: Family, n: int) -> list:
+    """The elements of weight n of a staircase family, in no set order."""
+    if f.tag == "staircase":  # weight k(k+1)/2
+        k = (math.isqrt(8 * n + 1) - 1) // 2
+        return [staircase(k)] if k * (k + 1) == 2 * n else []
+    if f.tag == "odd-staircase":  # weight m*m; a last part 1 overlined or not
+        m = math.isqrt(n)
+        if m * m != n:
+            return []
+        return [OddStaircase(m), OddStaircase(m, True)] if m else [OddStaircase(0)]
+    raise UnknownFamilyError(f.tag)
 
 
 Slice = tuple[tuple[str, ...], tuple[Any, ...]]
@@ -556,28 +553,30 @@ def _text_slice(f: Family, n: int) -> Slice:
         ]
         pairs.sort(key=itemgetter(0))
         return tuple(t for t, _ in pairs), tuple(VTuple(combo) for _, combo in pairs)
-    if f.tag == "designated":
-        # The same text format_element gives, joined from run texts made
-        # once per run (d, m) of the slice rather than once per element.
-        choices = {}  # (d, m) -> (entries, texts) of the m choices of a run
+    if f.tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
+        pairs = [(format_element(f, x), x) for x in _generate(f, n)]
+    else:
+        # The same text format_element gives, joined from the texts of the
+        # run choices, which are made once per run (d, m) of the slice.
+        elements = _RUN_ELEMENTS[f.tag]
+        options = {}  # (d, m) -> _run_options(f, d, m)
         pairs = []
         for p in _ordinary_partitions(n):
             per_run = []
             for run in runs(p):
-                if run not in choices:
-                    entries = tuple((*run, i) for i in range(1, run[1] + 1))
-                    choices[run] = (entries, tuple(map(_run_text, entries)))
-                per_run.append(choices[run])
-            pairs += zip(
-                map("+".join, itertools.product(*(texts for _, texts in per_run))),
-                itertools.product(*(entries for entries, _ in per_run)),
-            )
-        pairs.sort(key=itemgetter(0))
-        texts = tuple(t or "0" for t, _ in pairs)  # "" is the empty element, written 0
-        return texts, tuple(DesignatedPartition(e) for _, e in pairs)
-    pairs = [(format_element(f, x), x) for x in _generate(f, n)]
+                if run not in options:
+                    options[run] = _run_options(f, *run)
+                per_run.append(options[run])
+                if not options[run][1]:
+                    break  # a run with no choice: p gives no element
+            else:
+                pairs += zip(
+                    map("+".join, itertools.product(*(texts for _, texts in per_run))),
+                    elements(p, [pieces for pieces, _ in per_run]),
+                )
     pairs.sort(key=itemgetter(0))
-    return tuple(t for t, _ in pairs), tuple(x for _, x in pairs)
+    # "" is the empty run-family element, written 0
+    return tuple(t or "0" for t, _ in pairs), tuple(x for _, x in pairs)
 
 
 _component_slice = lru_cache(maxsize=None)(_text_slice)
@@ -598,32 +597,18 @@ def _pool_splits(components: tuple[Family, ...], n: int) -> Iterator[tuple[Slice
                 yield (pool,) + rest
 
 
-def _weight_splits(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of n into k nonnegative parts."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _weight_splits(n - first, k - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _ordinary_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(_restricted_partitions(n, n, 1, {0}, distinct=False))
+    return tuple(_partitions(n, n))
 
 
-def _restricted_partitions(
-    n: int, max_part: int, modulus: int, residues: set, distinct: bool
-) -> Iterator[Partition]:
+def _partitions(n: int, max_part: int) -> Iterator[Partition]:
+    """The partitions of n with no part above max_part."""
     if n == 0:
         yield EMPTY
         return
     for v in range(min(n, max_part), 0, -1):
-        if v % modulus not in residues:
-            continue
-        nxt = v - 1 if distinct else v
-        for tail in _restricted_partitions(n - v, nxt, modulus, residues, distinct):
+        for tail in _partitions(n - v, v):
             yield (v,) + tail
 
 

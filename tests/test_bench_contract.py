@@ -27,12 +27,25 @@ def test_tracer_targets_resolve_and_wrap():
         instrumentation.restore()
 
 
+def _start_cold():
+    """Empty the family caches that live for the whole process, as a benchmark
+    repetition starts in a fresh worker: slices and counts cached by earlier
+    tests would hide the calls that a cold run makes."""
+    from vrank import families
+
+    families._component_slice.cache_clear()
+    families._ordinary_partitions.cache_clear()
+    families._COUNTS.clear()
+
+
 def test_traced_roundtrip_reaches_every_expected_layer():
     # a traced run fails when a layer its workload must use records no calls;
-    # the memoized bijection kernels must still leave partition calls behind
+    # the memoized bijection kernels must still leave partition calls behind,
+    # and the staircase component slices format_element calls
     run = _load("run")
     tracer = _load("tracer")
     workloads = _load("workloads")
+    _start_cold()
     instrumentation = tracer.Instrumentation()
     try:
         tally = workloads.roundtrip("small")
@@ -51,6 +64,7 @@ def test_traced_verify_reaches_every_expected_layer():
     run = _load("run")
     tracer = _load("tracer")
     workloads = _load("workloads")
+    _start_cold()
     instrumentation = tracer.Instrumentation()
     try:
         tally = workloads.verify("small")
@@ -62,6 +76,8 @@ def test_traced_verify_reaches_every_expected_layer():
         assert layers[key] > 0, key
     assert instrumentation.counts["orbits.cases"] == layers["orbits.o_hat_calls"]
     assert 0 < layers["orbits.case1_frac"] < 1
+    # slice texts are joined from run texts: no element is formatted to be sorted
+    assert layers["families.format_calls"] == 0
     assert layers["bijections.roundtrip_failed"] == 0
 
 

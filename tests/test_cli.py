@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 from vrank import orbits
 from vrank.cli import VERIFY_CEILING, build_parser, main
-from vrank.families import PD, VTuple, parse_element
+from vrank.families import NAMED_FAMILIES, PD, VTuple, parse_element
 from vrank.partition import union
 
 CEILING = str(VERIFY_CEILING)
@@ -124,6 +125,25 @@ def test_verify_range_line(capsys, max_n, ceiling, line):
 def test_verify_ceiling_defaults_to_the_named_constant():
     args = build_parser().parse_args(["verify", "--family", "a", "--max-n", "5"])
     assert args.ceiling == VERIFY_CEILING
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # a parser built per call would be left behind as cyclic garbage
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args",
+        lambda self, *args, **kwargs: parsers.append(self) or parse(self, *args, **kwargs),
+    )
+    assert run(capsys, "verify", "--family", "pd", "--max-n", "5")[0] == 0
+    assert run(capsys, "orbits", "--family", "a", "--n", "2")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
+    # bijection and orbits offer exactly the families orbits._LAMBDAS maps
+    (verbs,) = [a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    with_bijection = {name for name, f in NAMED_FAMILIES.items() if f in orbits._LAMBDAS}
+    for verb in ("bijection", "orbits"):
+        (family,) = [a for a in verbs.choices[verb]._actions if a.dest == "family"]
+        assert set(family.choices) == with_bijection == {"pd", "a", "pod2"}
 
 
 def test_verify_degenerate_orbit_exits_1(capsys, monkeypatch):

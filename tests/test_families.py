@@ -1,8 +1,8 @@
 import hashlib
-import itertools
 
 import pytest
 
+from family_generators import generate, split_products
 from vrank import families, orbits
 from vrank.families import (
     A,
@@ -27,11 +27,7 @@ from vrank.families import (
     ShapeMismatchError,
     TwoColorPartition,
     UnknownFamilyError,
-    VTuple,
-    _cached_count,
-    _generate,
     _run_text,
-    _weight_splits,
     count_family,
     element_weight,
     enumerate_family,
@@ -227,12 +223,13 @@ def test_repeated_residues_rejected():
 
 def test_count_and_enumerate_refuse_negative_weight():
     # a negative weight is refused alike by both, and leaves no count cached
-    before = _cached_count.cache_info().currsize
+    tops = lambda: {f: len(table) for f, table in families._COUNTS.items()}  # noqa: E731
+    before = tops()
     for f in (ORDINARY, STAIRCASE, PD, POD2, PD_IMAGE):
         for weight_of in (count_family, enumerate_family):
             with pytest.raises(ValueError, match="weight must be nonnegative"):
                 weight_of(f, -1)
-    assert _cached_count.cache_info().currsize == before
+    assert tops() == before
 
 
 # --- counting without building ----------------------------------------------
@@ -243,37 +240,41 @@ COUNTED = {
     "distinct-odd": DISTINCT_ODD,
     "distinct-multiples-of-3": DISTINCT_MULTIPLES_OF_3,
 }
+CORE_FAMILIES = {**NAMED_FAMILIES, "pd-image": PD_IMAGE, "a-image": A_IMAGE,
+                 "pod2-image": POD2_IMAGE}
+SERIES_CHECKED = {**CORE_FAMILIES, **COUNTED}
 
 
 @pytest.mark.parametrize("name", COUNTED)
 def test_counts_match_the_generators(name):
     f = COUNTED[name]
     for n in range(21):
-        assert count_family(f, n) == sum(1 for _ in _generate(f, n))
+        assert count_family(f, n) == sum(1 for _ in generate(f, n))
 
 
-@pytest.mark.parametrize("name", ["pd", "a", "op", "op2"])
+@pytest.mark.parametrize("name", sorted(SERIES_CHECKED))
 def test_counts_match_the_series_to_60(name):
     # far past what a generator reaches in test time: pd(60) = 73,412,768
-    f = NAMED_FAMILIES[name]
+    f = SERIES_CHECKED[name]
     s = family_series(f, 60)
     assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
 
 
-@pytest.mark.parametrize("f", [PD, OVERPARTITION, POD, DISTINCT_ODD], ids=lambda f: f.tag)
+@pytest.mark.parametrize(
+    "f", [PD, OVERPARTITION, POD, DISTINCT_ODD, A, STAIRCASE, PD_IMAGE], ids=lambda f: f.tag
+)
 def test_run_tables_serve_every_weight_in_any_order(f, monkeypatch):
-    from_scratch = [families._run_table(f, n)[n] for n in range(31)]
+    from_scratch = [families._count_table(f, n)[n] for n in range(31)]
     for order in (range(31), range(30, -1, -1), [17, 3, 30, 0, 29, 5, 12]):
-        monkeypatch.setattr(families, "_RUN_TABLES", {})
-        assert [families._count_by_runs(f, n) for n in order] == [from_scratch[n] for n in order]
+        monkeypatch.setattr(families, "_COUNTS", {})
+        assert [families._counts(f, n)[n] for n in order] == [from_scratch[n] for n in order]
 
 
 def test_tail_check_builds_one_count_table_per_family(monkeypatch):
     builds = []
-    build = families._run_table
-    monkeypatch.setattr(families, "_run_table", lambda f, n: builds.append(f) or build(f, n))
-    monkeypatch.setattr(families, "_RUN_TABLES", {})
-    _cached_count.cache_clear()
+    build = families._count_table
+    monkeypatch.setattr(families, "_count_table", lambda f, n: builds.append(f) or build(f, n))
+    monkeypatch.setattr(families, "_COUNTS", {})
     for image in (PD_IMAGE, A_IMAGE, POD2_IMAGE):
         assert orbits.tail_condition_holds(image, 2, 17)
     assert builds and len(builds) == len(set(builds))
@@ -281,25 +282,13 @@ def test_tail_check_builds_one_count_table_per_family(monkeypatch):
 
 # --- enumeration core -------------------------------------------------------
 
-CORE_FAMILIES = {**NAMED_FAMILIES, "pd-image": PD_IMAGE, "a-image": A_IMAGE,
-                 "pod2-image": POD2_IMAGE}
-
-
-def _split_products(f, n):
-    """Vector elements built component by component from uncached generators."""
-    for split in _weight_splits(n, len(f.components)):
-        pools = [list(_generate(g, w)) for g, w in zip(f.components, split)]
-        for combo in itertools.product(*pools):
-            yield VTuple(combo)
-
-
 @pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
 def test_enumeration_matches_reference(name):
     f = CORE_FAMILIES[name]
     for n in range(13):
         elems = enumerate_family(f, n)
         text = lambda x: format_element(f, x)  # noqa: E731
-        reference = _split_products(f, n) if f.tag == "vector" else _generate(f, n)
+        reference = split_products(f, n) if f.tag == "vector" else generate(f, n)
         assert elems == sorted(reference, key=text)
         assert len(set(elems)) == len(elems) == count_family(f, n)
 
@@ -309,8 +298,23 @@ def test_pd_slice_order_matches_the_formatted_sort():
     # the order and every text must still be what format_element gives
     for n in range(17):
         elems = enumerate_family(PD, n)
-        assert elems == sorted(_generate(PD, n), key=lambda x: format_element(PD, x))
+        assert elems == sorted(generate(PD, n), key=lambda x: format_element(PD, x))
         assert families._text_slice(PD, n)[0] == tuple(format_element(PD, x) for x in elems)
+
+
+SLICED = {name: family_by_name(name) for name in ("pd", "a", "pod", "op", "p3_1,2", "d5_1,4",
+                                                   "staircase", "odd-staircase")}
+
+
+@pytest.mark.parametrize("name", SLICED)
+def test_slice_texts_are_the_formatted_sort(name):
+    # every run tag joins its slice texts from run texts, and the staircases
+    # format theirs: each text, and the order, is what format_element gives
+    f = SLICED[name]
+    for n in range(15):
+        texts, elems = families._text_slice(f, n)
+        assert texts == tuple(format_element(f, x) for x in elems)
+        assert list(elems) == sorted(generate(f, n), key=lambda x: format_element(f, x))
 
 
 @pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
