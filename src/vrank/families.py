@@ -8,12 +8,18 @@ form so golden outputs are stable.
 Every family but a vector and the two staircases is a partition with one
 choice made for each run of m copies of a part d: which copy is designated,
 whether the first is overlined, how many copies are blue, or whether the run
-is allowed at all.  `_run_options(f, d, m)` states those choices once, as
-their pieces and texts, and serves counting, enumeration and text alike:
-`count_family` sweeps one table per family with the number of choices, and
-a weight slice joins each element's text from its runs' texts, so no such
-element is formatted only to be sorted.  A vector's counts convolve its
-components' tables, and a staircase family is counted from its generator.
+is allowed at all.  One run table states those choices once, and every
+reader and writer of such a family goes through it: `_run_options(f, d, m)`
+gives the choices, `_run_text` writes a choice's tokens, and `_runs_of` reads
+back the choice an element makes on each run.  `count_family` sweeps one
+table per family with the number of choices and writes nothing; a weight
+slice builds each element from its runs' choices and joins its text from
+their texts, so no element is formatted only to be sorted; `format_element`
+joins the texts of an element's runs; `parse_element` accepts a run only as
+the text of one of its choices, so each element has exactly one text; and
+`is_member` requires each run's choice to be in the table.  A vector's
+counts convolve its components' tables, and a staircase family is counted
+from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
 sorted by text.  The slices of vector *components* are memoized per (family,
@@ -25,6 +31,7 @@ joined from the cached component texts.  Top-level slices are not cached:
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterator
@@ -233,46 +240,23 @@ def element_weight(f: Family, x: Any) -> int:
 
 def format_element(f: Family, x: Any) -> str:
     """A vector is `(c1;c2;...)`; any other element is its tokens joined by
-    `+`, or `0` when it has none."""
+    `+`, or `0` when it has none.  Total on any value of the family's element
+    type, member or not, so an error message can always show the value."""
     tag = f.tag
-    if tag in ("mod-parts", "mod-distinct", "staircase", "pod"):
+    if tag in _RUN_ELEMENTS:
+        toks = [_run_text(tag, d, m, choice) for d, m, choice in _runs_of(f, x)]
+    elif tag == "staircase":
         toks = map(str, x)
-    elif tag == "overpartition":
-        toks, seen = [], set()
-        for v in x.parts:
-            if v in x.overlined and v not in seen:
-                toks.append(f"{v}~")
-                seen.add(v)
-            else:
-                toks.append(str(v))
     elif tag == "odd-staircase":
         toks = [str(v) for v in x.parts]
         if x.one_overlined:
             toks[-1] += "~"
-    elif tag == "designated":
-        toks = map(_run_text, x.entries)
-    elif tag == "two-color":  # by magnitude, decreasing; blue first among equals
-        pieces = sorted(_colored_runs(x.red, "r") + _colored_runs(x.blue, "b"))
-        toks = [text for _, _, text in pieces]
     elif tag == "vector":
         inner = ";".join(format_element(g, c) for g, c in zip(f.components, x.components))
         return f"({inner})"
     else:
         raise UnknownFamilyError(f.tag)
     return "+".join(toks) or "0"
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _run_text(entry: tuple[int, int, int]) -> str:
-    """The text of one designated run (d, m, i): m copies of d, the i-th primed."""
-    d, m, i = entry
-    return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _colored_runs(p: Partition, color: str) -> tuple[tuple[int, str, str], ...]:
-    """(-d, color, text) of each run (d, m) of p, the text m copies of `d<color>`."""
-    return tuple((-d, color, "+".join([f"{d}{color}"] * m)) for d, m in runs(p))
 
 
 def parse_element(f: Family, s: str) -> Any:
@@ -290,18 +274,22 @@ def parse_element(f: Family, s: str) -> Any:
             )
         return VTuple(tuple(parse_element(g, t) for g, t in zip(f.components, texts)))
     toks = [] if s == "0" else s.split("+")
-    if tag in ("mod-parts", "mod-distinct", "staircase", "pod"):
+    if tag in _RUN_ELEMENTS:
+        # A part's marks follow its digits.  Each run's tokens must be the
+        # writer's text of one of its choices, so an element has one text.
+        p = check_partition(tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks))
+        chosen, start = [], 0
+        for d, m in runs(p):
+            text = "+".join(toks[start:start + m])
+            start += m
+            by_text = {_run_text(tag, d, m, choice): choice for choice in _run_options(f, d, m)}
+            if text not in by_text:
+                listed = f": {', '.join(by_text)}" if 0 < len(by_text) <= 4 else ""
+                raise ElementParseError(f"{text!r} is not a run of {tag}{listed}")
+            chosen.append((by_text[text],))
+        return next(_RUN_ELEMENTS[tag][1](p, chosen))
+    if tag == "staircase":
         x = check_partition(tuple(_parse_int(tok, s) for tok in toks))
-    elif tag == "overpartition":
-        parts, over = [], []
-        for tok in toks:
-            v = _parse_int(tok.removesuffix("~"), s)
-            if tok.endswith("~"):
-                if parts and parts[-1] == v:
-                    raise ElementParseError(f"the overline of {v} goes on its first copy in {s!r}")
-                over.append(v)
-            parts.append(v)
-        x = Overpartition(check_partition(tuple(parts)), tuple(over))
     elif tag == "odd-staircase":
         over = bool(toks) and toks[-1].endswith("~")
         if over:
@@ -309,34 +297,6 @@ def parse_element(f: Family, s: str) -> Any:
         x = OddStaircase(len(toks), over)
         if x.parts != tuple(_parse_int(tok, s) for tok in toks):
             raise ElementParseError(f"not an odd staircase: {s!r}")
-    elif tag == "designated":
-        runs: list[list[int]] = []  # [magnitude, multiplicity, index]
-        for tok in toks:
-            desig = tok.endswith("'")
-            v = _parse_int(tok.removesuffix("'"), s)
-            if runs and runs[-1][0] == v:
-                runs[-1][1] += 1
-                if desig:
-                    if runs[-1][2]:
-                        raise ElementParseError(f"multiple designations of {v} in {s!r}")
-                    runs[-1][2] = runs[-1][1]
-            elif runs and runs[-1][0] < v:
-                raise ElementParseError(f"parts not weakly decreasing in {s!r}")
-            else:
-                runs.append([v, 1, 1 if desig else 0])
-        if any(i == 0 for _, _, i in runs):
-            raise ElementParseError(f"missing designation in {s!r}")
-        x = DesignatedPartition(tuple((d, m, i) for d, m, i in runs))
-    elif tag == "two-color":
-        red, blue = [], []
-        for tok in toks:
-            color = tok[-1:]
-            if color not in ("r", "b"):
-                raise ElementParseError(f"missing color on {tok!r} in {s!r}")
-            (red if color == "r" else blue).append(_parse_int(tok[:-1], s))
-        x = TwoColorPartition(
-            tuple(sorted(red, reverse=True)), tuple(sorted(blue, reverse=True))
-        )
     else:
         raise UnknownFamilyError(f.tag)
     return require_member(f, x)
@@ -363,36 +323,22 @@ def is_member(f: Family, x: Any) -> bool:
     Raises ShapeMismatchError when x is not even the right kind of value.
     """
     tag = f.tag
-    if tag in ("mod-parts", "mod-distinct", "staircase", "pod"):
+    if tag in _RUN_ELEMENTS:
+        kind, build = _RUN_ELEMENTS[tag]
+        _require_type(x, kind, f)
+        choices = _runs_of(f, x)
+        p = check_partition(_concat(tuple((d,) * m for d, m, _ in choices)))
+        return (
+            runs(p) == tuple((d, m) for d, m, _ in choices)  # one choice per run
+            and all(choice in _run_options(f, d, m) for d, m, choice in choices)
+            and next(build(p, [(choice,) for _, _, choice in choices])) == x
+        )
+    if tag == "staircase":
         _require_type(x, tuple, f)
-        check_partition(x)
-        if tag == "mod-parts":
-            return all(v % f.modulus in f.residues for v in x)
-        if tag == "mod-distinct":
-            return len(set(x)) == len(x) and all(v % f.modulus in f.residues for v in x)
-        if tag == "staircase":
-            return is_staircase(x)
-        odd = [v for v in x if v % 2]  # pod: no odd part repeats
-        return len(odd) == len(set(odd))
-    if tag == "overpartition":
-        _require_type(x, Overpartition, f)
-        check_partition(x.parts)
-        return set(x.overlined) <= set(x.parts)
+        return is_staircase(check_partition(x))
     if tag == "odd-staircase":
         _require_type(x, OddStaircase, f)
         return x.height >= 0
-    if tag == "designated":
-        _require_type(x, DesignatedPartition, f)
-        mags = [d for d, _, _ in x.entries]
-        return (
-            mags == sorted(set(mags), reverse=True)
-            and all(m >= 1 and 1 <= i <= m for _, m, i in x.entries)
-        )
-    if tag == "two-color":
-        _require_type(x, TwoColorPartition, f)
-        check_partition(x.red)
-        check_partition(x.blue)
-        return all(v % 2 == 0 for v in x.blue)
     if tag == "vector":
         _require_type(x, VTuple, f)
         if len(x.components) != len(f.components):
@@ -461,7 +407,7 @@ def _count_table(f: Family, n: int) -> list[int]:
     # one sweep over the weights per part size d, no partition built.
     table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
     for d in range(1, n + 1):
-        ways = [0] + [len(_run_options(f, d, m)[1]) for m in range(1, n // d + 1)]
+        ways = [0] + [len(_run_options(f, d, m)) for m in range(1, n // d + 1)]
         table = [
             table[w] + sum(ways[m] * table[w - m * d] for m in range(1, w // d + 1))
             for w in range(n + 1)
@@ -469,23 +415,18 @@ def _count_table(f: Family, n: int) -> list[int]:
     return table
 
 
-def _run_options(f: Family, d: int, m: int) -> tuple[tuple, tuple[str, ...]]:
-    """The choices for m copies of the part d in an element of f, as parallel
-    tuples (pieces, texts).  A piece is the choice's share of the element, as
-    `_RUN_ELEMENTS` reads it; a text is the run's tokens in the element text."""
+def _run_options(f: Family, d: int, m: int) -> tuple:
+    """The choices for m copies of the part d in an element of f.  A choice
+    is the run's share of the element, as `_RUN_ELEMENTS` builds it and
+    `_run_text` writes it."""
     tag = f.tag
     if tag == "designated":  # which copy is designated: the entry (d, m, i)
-        entries = tuple((d, m, i) for i in range(1, m + 1))
-        return entries, tuple(map(_run_text, entries))
-    if tag == "two-color":  # (red, blue) parts: b blue copies, written first
-        blues = range(m + 1) if d % 2 == 0 else (0,)  # an odd part is red
-        return (
-            tuple(((d,) * (m - b), (d,) * b) for b in blues),
-            tuple("+".join([f"{d}b"] * b + [f"{d}r"] * (m - b)) for b in blues),
-        )
-    plain = "+".join([str(d)] * m)
+        return tuple((d, m, i) for i in range(1, m + 1))
+    if tag == "two-color":  # (red, blue) parts: b blue copies; an odd part is red
+        blues = range(m + 1) if d % 2 == 0 else (0,)
+        return tuple(((d,) * (m - b), (d,) * b) for b in blues)
     if tag == "overpartition":  # the overlined part: the first copy, or none
-        return ((d,), ()), (f"{d}~" + plain[len(str(d)):], plain)
+        return (d,), ()
     if tag == "mod-parts":
         allowed = d % f.modulus in f.residues
     elif tag == "mod-distinct":
@@ -494,32 +435,66 @@ def _run_options(f: Family, d: int, m: int) -> tuple[tuple, tuple[str, ...]]:
         allowed = d % 2 == 0 or m == 1
     else:
         raise UnknownFamilyError(f.tag)
-    return (((d,) * m,), (plain,)) if allowed else ((), ())  # the run's parts, if allowed
+    return ((d,) * m,) if allowed else ()  # the run's parts, if allowed
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _run_text(tag: str, d: int, m: int, choice) -> str:
+    """The tokens of m copies of the part d under one choice of `_run_options`:
+    the one writer of a run's text, for slices and `format_element` alike."""
+    if tag == "designated":  # the i-th copy primed
+        return "+".join(f"{d}'" if j == choice[2] else str(d) for j in range(1, m + 1))
+    if tag == "two-color":  # the blue copies first
+        return "+".join([f"{d}b"] * len(choice[1]) + [f"{d}r"] * len(choice[0]))
+    toks = [str(d)] * m
+    if tag == "overpartition" and choice:  # the first copy overlined
+        toks[0] += "~"
+    return "+".join(toks)
+
+
+def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
+    """(d, m, choice) for each run of m copies of a part d of x, magnitudes as
+    x holds them: the choice x makes on that run, read back from x."""
+    tag = f.tag
+    if tag == "designated":
+        return tuple((d, m, (d, m, i)) for d, m, i in x.entries)
+    if tag == "two-color":
+        red, blue = Counter(x.red), Counter(x.blue)
+        return tuple(
+            (d, red[d] + blue[d], ((d,) * red[d], (d,) * blue[d]))
+            for d in sorted(red.keys() | blue.keys(), reverse=True)
+        )
+    if tag == "overpartition":
+        return tuple((d, m, (d,) if d in x.overlined else ()) for d, m in runs(x.parts))
+    return tuple((d, m, (d,) * m) for d, m in runs(x))
 
 
 def _concat(runs: tuple[Partition, ...]) -> Partition:
     return sum(runs, EMPTY)
 
 
-def _plain_elements(p: Partition, pieces: list[tuple]) -> Iterator[Partition]:
-    return map(_concat, itertools.product(*pieces))
+def _plain_elements(p: Partition, choices: list[tuple]) -> Iterator[Partition]:
+    return map(_concat, itertools.product(*choices))
 
 
-# The elements of a partition p, given the pieces of each of its runs'
-# choices: one element per choice for every run, in itertools.product order.
+# tag -> (element type, the elements of a partition p given the choices
+# allowed on each of its runs): one element per choice for every run, in
+# itertools.product order.
 _RUN_ELEMENTS = {
-    "mod-parts": _plain_elements,
-    "mod-distinct": _plain_elements,
-    "pod": _plain_elements,
-    "overpartition": lambda p, pieces: map(
-        Overpartition, itertools.repeat(p), map(_concat, itertools.product(*pieces))
-    ),
-    "designated": lambda p, pieces: map(DesignatedPartition, itertools.product(*pieces)),
-    "two-color": lambda p, pieces: map(
+    "mod-parts": (tuple, _plain_elements),
+    "mod-distinct": (tuple, _plain_elements),
+    "pod": (tuple, _plain_elements),
+    "overpartition": (Overpartition, lambda p, choices: map(
+        Overpartition, itertools.repeat(p), map(_concat, itertools.product(*choices))
+    )),
+    "designated": (DesignatedPartition, lambda p, choices: map(
+        DesignatedPartition, itertools.product(*choices)
+    )),
+    "two-color": (TwoColorPartition, lambda p, choices: map(
         TwoColorPartition,
-        map(_concat, itertools.product(*([red for red, _ in run] for run in pieces))),
-        map(_concat, itertools.product(*([blue for _, blue in run] for run in pieces))),
-    ),
+        map(_concat, itertools.product(*([red for red, _ in run] for run in choices))),
+        map(_concat, itertools.product(*([blue for _, blue in run] for run in choices))),
+    )),
 }
 
 
@@ -556,23 +531,25 @@ def _text_slice(f: Family, n: int) -> Slice:
     if f.tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
         pairs = [(format_element(f, x), x) for x in _generate(f, n)]
     else:
-        # The same text format_element gives, joined from the texts of the
-        # run choices, which are made once per run (d, m) of the slice.
-        elements = _RUN_ELEMENTS[f.tag]
-        options = {}  # (d, m) -> _run_options(f, d, m)
+        # The same text format_element gives, joined from the writer's texts
+        # of the run choices, which are made once per run (d, m) of the slice.
+        tag = f.tag
+        elements = _RUN_ELEMENTS[tag][1]
+        options = {}  # (d, m) -> (choices, their texts)
         pairs = []
         for p in _ordinary_partitions(n):
             per_run = []
             for run in runs(p):
                 if run not in options:
-                    options[run] = _run_options(f, *run)
+                    choices = _run_options(f, *run)
+                    options[run] = choices, [_run_text(tag, *run, c) for c in choices]
                 per_run.append(options[run])
-                if not options[run][1]:
+                if not options[run][0]:
                     break  # a run with no choice: p gives no element
             else:
                 pairs += zip(
                     map("+".join, itertools.product(*(texts for _, texts in per_run))),
-                    elements(p, [pieces for pieces, _ in per_run]),
+                    elements(p, [choices for choices, _ in per_run]),
                 )
     pairs.sort(key=itemgetter(0))
     # "" is the empty run-family element, written 0

@@ -1,7 +1,9 @@
 """Reference generators for the partition-based families, written tag by tag
-from each family's definition.  They share no code with the run-choice table
-in `vrank.families` (`_run_options`), which counts, enumerates and writes
-those families, so the tests can hold that table against them."""
+from each family's definition.  They share no code with the run table in
+`vrank.families` (`_run_options` for the choices on each run, `_run_text` to
+write one, `_runs_of` to read one back), through which those families are
+counted, enumerated, written, read and checked, so the tests can hold that
+table against them."""
 
 import itertools
 

@@ -367,6 +367,7 @@ def test_selftest(capsys):
         ("enumerate", "--family", "d2_1,1", "--n", "4"),
         ("bijection", "--family", "pd", "--forward", "1_0'"),
         ("bijection", "--family", "a", "--forward", "02r+ 1r"),
+        ("bijection", "--family", "a", "--forward", "1r+2r"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

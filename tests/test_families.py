@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -18,6 +19,7 @@ from vrank.families import (
     OP2,
     ORDINARY,
     OVERPARTITION,
+    Overpartition,
     PD,
     PD_IMAGE,
     POD,
@@ -36,7 +38,7 @@ from vrank.families import (
     is_member,
     parse_element,
 )
-from vrank.partition import KERNEL_CACHE_SIZE
+from vrank.partition import KERNEL_CACHE_SIZE, InvalidPartitionError
 from vrank.series import family_series
 
 
@@ -49,6 +51,24 @@ def test_membership_distinct_triples():
     assert is_member(DISTINCT_MULTIPLES_OF_3, (60, 3))
     assert not is_member(DISTINCT_MULTIPLES_OF_3, (4,))
     assert not is_member(DISTINCT_MULTIPLES_OF_3, (3, 3))
+
+
+def test_membership_overlines_each_present_part_once_in_order():
+    # each of these writes as a member does, "3~+1~" or "3~+1"
+    assert is_member(OVERPARTITION, Overpartition((3, 1), (3, 1)))
+    assert not is_member(OVERPARTITION, Overpartition((3, 1), (1, 3)))
+    assert not is_member(OVERPARTITION, Overpartition((3, 1), (3, 3)))
+
+
+def test_format_is_total_and_membership_refuses():
+    # an orbit error formats the element it pulled back, member or not
+    for f, x, text in [
+        (PD, DesignatedPartition(((2, 2, 3),)), "2+2"),     # index above the multiplicity
+        (OVERPARTITION, Overpartition((3, 1), (2,)), "3+1"),  # overlines an absent part
+        (A, TwoColorPartition((), (3,)), "3b"),             # an odd blue part
+    ]:
+        assert format_element(f, x) == text
+        assert not is_member(f, x)
 
 
 def test_membership_shape_mismatch_is_an_error():
@@ -166,8 +186,8 @@ def _reference_text(x):
 
 
 def test_designated_and_two_color_text_match_reference():
-    # designated text is joined from memoized run texts, two-color text from
-    # a plain tuple sort; both must write what the token-by-token form wrote
+    # both are joined from the run writer's texts, and must write what the
+    # token-by-token form wrote
     for n in range(15):
         for f in (PD, A):
             for x in enumerate_family(f, n):
@@ -198,9 +218,52 @@ def test_grammar_rejects_garbage():
         (OVERPARTITION, "1+1~"),     # the overline goes on the first copy, once
         (OVERPARTITION, "1~+1~"),
         (POD2, "(0; 5)"),            # only the whole text may carry spaces
+        (A, "1r+2r"),                # magnitudes decrease
+        (A, "2r+2b"),                # blue copies are written first
+        (A, "2b+3r"),
     ]:
         with pytest.raises(ValueError):
             parse_element(f, bad)
+
+
+def _reorderings(text):
+    """Every text with the `+` tokens of one component of text reordered,
+    for components of up to 6 tokens."""
+    if text.startswith("("):
+        comps = text[1:-1].split(";")
+        for k, comp in enumerate(comps):
+            for other in _reorderings(comp):
+                yield "(" + ";".join(comps[:k] + [other] + comps[k + 1:]) + ")"
+        return
+    toks = text.split("+")
+    if len(toks) <= 6:
+        yield from set(map("+".join, itertools.permutations(toks)))
+
+
+def test_each_element_has_one_text():
+    # a reordered text is refused, or is itself a canonical text
+    for f in GRAMMAR_FAMILIES:
+        for n in range(8):
+            for x in enumerate_family(f, n):
+                for text in _reorderings(format_element(f, x)):
+                    try:
+                        y = parse_element(f, text)
+                    except ValueError:
+                        continue
+                    assert format_element(f, y) == text
+
+
+def test_parse_errors_name_the_run():
+    with pytest.raises(ValueError, match=r"^'2\+2' is not a run of designated: 2'\+2, 2\+2'$"):
+        parse_element(PD, "2+2")
+    with pytest.raises(ValueError, match=r"^'1r\+1b' is not a run of two-color: 1r\+1r$"):
+        parse_element(A, "3r+1r+1b")
+    with pytest.raises(ValueError, match=r"^'1\+1' is not a run of pod$"):  # no choice
+        parse_element(POD, "2+1+1")
+    with pytest.raises(ValueError, match=r"^'4\+4\+4\+4\+4' is not a run of designated$"):
+        parse_element(PD, "4+4+4+4+4")  # five choices are not listed
+    with pytest.raises(InvalidPartitionError):
+        parse_element(A, "2b+3r")
 
 
 def test_family_by_name():
@@ -258,6 +321,15 @@ def test_counts_match_the_series_to_60(name):
     f = SERIES_CHECKED[name]
     s = family_series(f, 60)
     assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
+
+
+def test_counting_writes_no_run_text(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a count wrote the run text of {args}")
+
+    monkeypatch.setattr(families, "_run_text", refuse)
+    monkeypatch.setattr(families, "_COUNTS", {})
+    assert count_family(PD, 30) == 92456
 
 
 @pytest.mark.parametrize(
