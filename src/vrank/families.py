@@ -10,16 +10,17 @@ choice made for each run of m copies of a part d: which copy is designated,
 whether the first is overlined, how many copies are blue, or whether the run
 is allowed at all.  One run table states those choices once, and every
 reader and writer of such a family goes through it: `_run_options(f, d, m)`
-gives the choices, `_run_text` writes a choice's tokens, and `_runs_of` reads
-back the choice an element makes on each run.  `count_family` sweeps one
-table per family with the number of choices and writes nothing; a weight
-slice builds each element from its runs' choices and joins its text from
-their texts, so no element is formatted only to be sorted; `format_element`
-joins the texts of an element's runs; `parse_element` accepts a run only as
-the text of one of its choices, so each element has exactly one text; and
-`is_member` requires each run's choice to be in the table.  A vector's
-counts convolve its components' tables, and a staircase family is counted
-from its generator.
+gives the choices, `_run_text` writes a choice's tokens, `_runs_of` reads
+back the choice an element makes on each run, and `_RUN_ELEMENTS` builds
+elements from the choices alone.  `count_family` sweeps one table per family
+with the number of choices and writes nothing; a weight slice walks the
+partitions of n, generated as their runs (d, m), so no run is recounted, and
+joins each element's text from its choices' texts, so none is formatted only
+to be sorted; `format_element` joins the texts of an element's runs;
+`parse_element` accepts a run only as the text of one of its choices, so each
+element has one text; and `is_member` requires each run's choice to be in
+the table.  A vector's counts convolve its components' tables, and a
+staircase family is counted from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
 sorted by text.  The slices of vector *components* are memoized per (family,
@@ -277,9 +278,11 @@ def parse_element(f: Family, s: str) -> Any:
     if tag in _RUN_ELEMENTS:
         # A part's marks follow its digits.  Each run's tokens must be the
         # writer's text of one of its choices, so an element has one text.
-        p = check_partition(tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks))
+        parts = tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks)
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise InvalidPartitionError(f"parts not weakly decreasing in {s!r}")
         chosen, start = [], 0
-        for d, m in runs(p):
+        for d, m in runs(parts):
             text = "+".join(toks[start:start + m])
             start += m
             by_text = {_run_text(tag, d, m, choice): choice for choice in _run_options(f, d, m)}
@@ -287,7 +290,7 @@ def parse_element(f: Family, s: str) -> Any:
                 listed = f": {', '.join(by_text)}" if 0 < len(by_text) <= 4 else ""
                 raise ElementParseError(f"{text!r} is not a run of {tag}{listed}")
             chosen.append((by_text[text],))
-        return next(_RUN_ELEMENTS[tag][1](p, chosen))
+        return next(_RUN_ELEMENTS[tag][1](chosen))
     if tag == "staircase":
         x = check_partition(tuple(_parse_int(tok, s) for tok in toks))
     elif tag == "odd-staircase":
@@ -331,7 +334,7 @@ def is_member(f: Family, x: Any) -> bool:
         return (
             runs(p) == tuple((d, m) for d, m, _ in choices)  # one choice per run
             and all(choice in _run_options(f, d, m) for d, m, choice in choices)
-            and next(build(p, [(choice,) for _, _, choice in choices])) == x
+            and next(build([(choice,) for _, _, choice in choices])) == x
         )
     if tag == "staircase":
         _require_type(x, tuple, f)
@@ -425,8 +428,8 @@ def _run_options(f: Family, d: int, m: int) -> tuple:
     if tag == "two-color":  # (red, blue) parts: b blue copies; an odd part is red
         blues = range(m + 1) if d % 2 == 0 else (0,)
         return tuple(((d,) * (m - b), (d,) * b) for b in blues)
-    if tag == "overpartition":  # the overlined part: the first copy, or none
-        return (d,), ()
+    if tag == "overpartition":  # (parts, overlined part): the first copy, or none
+        return ((d,) * m, (d,)), ((d,) * m, ())
     if tag == "mod-parts":
         allowed = d % f.modulus in f.residues
     elif tag == "mod-distinct":
@@ -447,7 +450,7 @@ def _run_text(tag: str, d: int, m: int, choice) -> str:
     if tag == "two-color":  # the blue copies first
         return "+".join([f"{d}b"] * len(choice[1]) + [f"{d}r"] * len(choice[0]))
     toks = [str(d)] * m
-    if tag == "overpartition" and choice:  # the first copy overlined
+    if tag == "overpartition" and choice[1]:  # the first copy overlined
         toks[0] += "~"
     return "+".join(toks)
 
@@ -465,7 +468,9 @@ def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
             for d in sorted(red.keys() | blue.keys(), reverse=True)
         )
     if tag == "overpartition":
-        return tuple((d, m, (d,) if d in x.overlined else ()) for d, m in runs(x.parts))
+        return tuple(
+            (d, m, ((d,) * m, (d,) if d in x.overlined else ())) for d, m in runs(x.parts)
+        )
     return tuple((d, m, (d,) * m) for d, m in runs(x))
 
 
@@ -473,28 +478,30 @@ def _concat(runs: tuple[Partition, ...]) -> Partition:
     return sum(runs, EMPTY)
 
 
-def _plain_elements(p: Partition, choices: list[tuple]) -> Iterator[Partition]:
+def _plain_elements(choices: list[tuple]) -> Iterator[Partition]:
     return map(_concat, itertools.product(*choices))
 
 
-# tag -> (element type, the elements of a partition p given the choices
-# allowed on each of its runs): one element per choice for every run, in
-# itertools.product order.
+def _pair_elements(kind: type):
+    """Builds a kind of two fields, each joined from one half of the choices."""
+    return lambda choices: map(
+        kind,
+        _plain_elements([[first for first, _ in run] for run in choices]),
+        _plain_elements([[second for _, second in run] for run in choices]),
+    )
+
+
+# tag -> (element type, the elements given the choices allowed on each run):
+# one element per choice for every run, in itertools.product order.
 _RUN_ELEMENTS = {
     "mod-parts": (tuple, _plain_elements),
     "mod-distinct": (tuple, _plain_elements),
     "pod": (tuple, _plain_elements),
-    "overpartition": (Overpartition, lambda p, choices: map(
-        Overpartition, itertools.repeat(p), map(_concat, itertools.product(*choices))
-    )),
-    "designated": (DesignatedPartition, lambda p, choices: map(
+    "overpartition": (Overpartition, _pair_elements(Overpartition)),
+    "designated": (DesignatedPartition, lambda choices: map(
         DesignatedPartition, itertools.product(*choices)
     )),
-    "two-color": (TwoColorPartition, lambda p, choices: map(
-        TwoColorPartition,
-        map(_concat, itertools.product(*([red for red, _ in run] for run in choices))),
-        map(_concat, itertools.product(*([blue for _, blue in run] for run in choices))),
-    )),
+    "two-color": (TwoColorPartition, _pair_elements(TwoColorPartition)),
 }
 
 
@@ -539,7 +546,7 @@ def _text_slice(f: Family, n: int) -> Slice:
         pairs = []
         for p in _ordinary_partitions(n):
             per_run = []
-            for run in runs(p):
+            for run in p:
                 if run not in options:
                     choices = _run_options(f, *run)
                     options[run] = choices, [_run_text(tag, *run, c) for c in choices]
@@ -549,7 +556,7 @@ def _text_slice(f: Family, n: int) -> Slice:
             else:
                 pairs += zip(
                     map("+".join, itertools.product(*(texts for _, texts in per_run))),
-                    elements(p, [choices for choices, _ in per_run]),
+                    elements([choices for choices, _ in per_run]),
                 )
     pairs.sort(key=itemgetter(0))
     # "" is the empty run-family element, written 0
@@ -575,18 +582,19 @@ def _pool_splits(components: tuple[Family, ...], n: int) -> Iterator[tuple[Slice
 
 
 @lru_cache(maxsize=None)
-def _ordinary_partitions(n: int) -> tuple[Partition, ...]:
+def _ordinary_partitions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(_partitions(n, n))
 
 
-def _partitions(n: int, max_part: int) -> Iterator[Partition]:
-    """The partitions of n with no part above max_part."""
+def _partitions(n: int, max_part: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of n with no part above max_part, as runs ((d, m), ...)."""
     if n == 0:
-        yield EMPTY
+        yield ()
         return
-    for v in range(min(n, max_part), 0, -1):
-        for tail in _partitions(n - v, v):
-            yield (v,) + tail
+    for d in range(min(n, max_part), 0, -1):
+        for m in range(n // d, 0, -1):
+            for tail in _partitions(n - m * d, d - 1):
+                yield ((d, m),) + tail
 
 
 # --- CLI-facing catalog -----------------------------------------------------

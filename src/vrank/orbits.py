@@ -6,6 +6,8 @@ first three components and cyclically shifts the parts inside it; applied
 three times it is the identity, and the three ranks along an orbit hit all
 residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
+One memo, `_step`, holds a step's case and its shifted triple together:
+the operator reads and moves only the first three components.
 """
 
 import gc
@@ -22,10 +24,12 @@ from .families import (
     PD_IMAGE,
     POD2,
     POD2_IMAGE,
+    ShapeMismatchError,
     VTuple,
     count_family,
     enumerate_family,
     format_element,
+    is_member,
 )
 from .partition import InvalidPartitionError, Partition, Record
 
@@ -46,22 +50,8 @@ def classify_case(v: VTuple) -> str | None:
     """Which residue class the orbit operator moves: case 1 when the parts
     == 1 mod 3 in the first three components number nonzero mod 3, else case 2
     when the parts == 2 mod 3 do, else None."""
-    return _case_of(v.components[:3])
-
-
-@lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
-def _case_of(first3: tuple[Partition, ...]) -> str | None:
-    """`classify_case` of the first three components, counted in one pass and
-    memoized like the moved triple."""
-    counts = [0, 0, 0]
-    for c in first3:
-        for part in c:
-            counts[part % 3] += 1
-    if counts[1] % 3:
-        return CASE1
-    if counts[2] % 3:
-        return CASE2
-    return None
+    c = v.components
+    return _step(c[0], c[1], c[2])[0]
 
 
 def o_hat(v: VTuple) -> VTuple:
@@ -73,23 +63,21 @@ def o_hat(v: VTuple) -> VTuple:
     residue over the first three components do not change, so neither does
     the case, and three steps return to v.
     """
-    case = classify_case(v)
-    if case is None:
+    if classify_case(v) is None:
         raise OrbitError(f"orbit operator undefined for {v.components}")
     c = v.components
-    return VTuple(_moved_triple(case, c[0], c[1], c[2]) + c[3:])
+    return VTuple(_step(c[0], c[1], c[2])[1] + c[3:])
 
 
 @lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
-def _moved_triple(
-    case: str, c0: Partition, c1: Partition, c2: Partition
-) -> tuple[Partition, Partition, Partition]:
-    """The first three components after the shift of the residue `case`
-    moves.  Every tail, weight and family reuses the same triples, so the
-    result is memoized.  The components come as separate arguments, so an
-    entry keeps one key tuple and no slice of the V-tuple besides."""
-    r = 1 if case == CASE1 else 2
-    return (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
+def _step(c0: Partition, c1: Partition, c2: Partition) -> tuple:
+    """(case, shifted triple) of one step on the first three components, or
+    (None, None).  The components come as separate arguments, so an entry
+    keeps one key tuple and no slice of the V-tuple."""
+    for case, r in ((CASE1, 1), (CASE2, 2)):
+        if sum(part % 3 == r for c in (c0, c1, c2) for part in c) % 3:
+            return case, (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
+    return None, None
 
 
 def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:
@@ -170,7 +158,7 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
                 if y0 != x:
                     raise OrbitError(
                         f"round trip of {format_element(f, x)} at n={n} "
-                        f"gives {format_element(f, y0)}"
+                        f"gives {_witness(f, y0)}"
                     )
                 v1 = o_hat(v0)  # o_hat^3 is the identity, so two steps close the orbit
                 y1 = inverse(v1)
@@ -196,6 +184,16 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     finally:
         if collecting:
             gc.enable()
+
+
+def _witness(f: Family, y: Any) -> str:
+    """The text of a pulled-back value, marked when it is not in f: the
+    writer is total, but writes a member's text for some non-members."""
+    try:
+        member = is_member(f, y)
+    except (InvalidPartitionError, ShapeMismatchError):
+        member = False
+    return format_element(f, y) + ("" if member else f" (not in {f.tag})")
 
 
 # --- reports ----------------------------------------------------------------

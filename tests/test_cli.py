@@ -6,7 +6,7 @@ import pytest
 
 from vrank import orbits
 from vrank.cli import VERIFY_CEILING, build_parser, main
-from vrank.families import NAMED_FAMILIES, PD, VTuple, parse_element
+from vrank.families import NAMED_FAMILIES, PD, DesignatedPartition, VTuple, parse_element
 from vrank.partition import union
 
 CEILING = str(VERIFY_CEILING)
@@ -174,6 +174,24 @@ def test_verify_failed_round_trip_exits_1(capsys, monkeypatch):
     assert out.splitlines()[1:] == [
         "pd orbits: FAIL",
         "orbits: round trip of 1'+1 at n=2 gives 2'",
+    ]
+
+
+def test_verify_marks_a_witness_outside_the_family(capsys, monkeypatch):
+    # the writer is total, so this non-member still gets a text, 3'+; the
+    # witness says that the value behind it is not in the family
+    forward, _, image = orbits.family_bijection(PD)
+    wrong = DesignatedPartition(((3, 1, 1), (2, 0, 1)))
+    monkeypatch.setitem(orbits._LAMBDAS, PD, (forward, lambda v: wrong, image))
+    code, out, err = run(
+        capsys, "verify", "--family", "pd", "--max-n", "5", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pd orbits: FAIL",
+        "orbits: round trip of 1'+1 at n=2 gives 3'+ (not in designated)",
+        "orbits: round trip of 1'+1+1+1+1 at n=5 gives 3'+ (not in designated)",
     ]
 
 

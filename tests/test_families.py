@@ -38,7 +38,7 @@ from vrank.families import (
     is_member,
     parse_element,
 )
-from vrank.partition import KERNEL_CACHE_SIZE, InvalidPartitionError
+from vrank.partition import KERNEL_CACHE_SIZE, InvalidPartitionError, runs
 from vrank.series import family_series
 
 
@@ -262,7 +262,7 @@ def test_parse_errors_name_the_run():
         parse_element(POD, "2+1+1")
     with pytest.raises(ValueError, match=r"^'4\+4\+4\+4\+4' is not a run of designated$"):
         parse_element(PD, "4+4+4+4+4")  # five choices are not listed
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(InvalidPartitionError, match=r"^parts not weakly decreasing in '2b\+3r'$"):
         parse_element(A, "2b+3r")
 
 
@@ -321,6 +321,18 @@ def test_counts_match_the_series_to_60(name):
     f = SERIES_CHECKED[name]
     s = family_series(f, 60)
     assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
+
+
+def test_enumeration_leaves_runs_alone(monkeypatch):
+    # slices walk partitions generated as their runs, so the runs memo,
+    # which the bijections share, is neither called nor filled
+    families._component_slice.cache_clear()
+    families._ordinary_partitions.cache_clear()
+    monkeypatch.setattr(families, "_COUNTS", {})
+    runs.cache_clear()
+    for f, n in ((PD, 20), (A, 14), (ORDINARY, 30)):
+        assert len(enumerate_family(f, n)) == count_family(f, n)
+    assert runs.cache_info()[:2] == (0, 0)  # hits, misses
 
 
 def test_counting_writes_no_run_text(monkeypatch):

@@ -202,17 +202,23 @@ def test_o_hat_matches_reference_at_large_weights(triple, tail):
 
 
 def test_o_hat_refuses_case_none_on_every_call():
-    # the refusal comes before the memoized shift, so nothing is cached for it
-    shift = orbits_module._moved_triple
-    before = shift.cache_info().currsize
+    # the memoized step of a triple with no case is (None, None): every call
+    # that reads it is refused, the first and the cached ones alike
     for text in ("(0;0;0;0)", "(2;2;2;0)", "(6;0;0;1)"):
         v = _tuple(A_IMAGE, text)
         for _ in range(3):
             with pytest.raises(OrbitError, match="orbit operator undefined"):
                 o_hat(v)
-    assert shift.cache_info().currsize == before
-    for memo in (shift, orbits_module._case_of):
-        assert memo.cache_info().maxsize == KERNEL_CACHE_SIZE
+    step = orbits_module._step
+    assert step.cache_info().maxsize == KERNEL_CACHE_SIZE
+    # one entry serves both facts: the shift made, the case is then a hit
+    v = _tuple(A_IMAGE, "(4;0;0;1)")
+    step.cache_clear()
+    assert o_hat(v) == _tuple(A_IMAGE, "(0;4;0;1)")
+    hits = step.cache_info().hits
+    assert classify_case(v) == CASE1
+    assert step.cache_info()[:2] == (hits + 1, 1)  # hits, misses
+    assert step.cache_info().currsize == 1
 
 
 def test_rotate_o():
