@@ -4,6 +4,8 @@
   two-runner abacus of beta numbers.  Orientation is pinned so that
   phi((4,4,2,2,1)) = ((1,), (2,), (6, 4)).
 * delta / psi: the designated-summand split and the multiplicity->=2 repack.
+  A `DesignatedPartition` holds its split (alpha, beta), so delta reads it
+  and delta_inv checks beta and wraps the two partitions it is given.
 * lambda_pd, lambda_a, lambda_pod: the full pipelines into V-tuples.
 * wright / wright_inv: the modified Wright map between pairs of distinct-odd
   partitions and (even partition, odd staircase with optional overline).
@@ -125,37 +127,18 @@ def phi_inv(t: CoreQuotientTriple) -> Partition:
 # --- designated summands ----------------------------------------------------
 
 def delta(dp: DesignatedPartition) -> tuple[Partition, Partition]:
-    """Split into (alpha, beta): designated-first magnitudes go wholly to
-    alpha; otherwise the designated index counts parts moved to beta."""
-    alpha, beta = [], []
-    for d, m, i in dp.entries:
-        if i == 1:
-            alpha.extend([d] * m)
-        else:
-            beta.extend([d] * i)
-            alpha.extend([d] * (m - i))
-    return tuple(alpha), tuple(beta)  # entries run in decreasing magnitude
+    """Split into (alpha, beta): a part whose designated copy is the first goes
+    wholly to alpha; otherwise the designated index counts its copies in beta.
+    The element holds this split, so delta reads its two fields."""
+    return dp.alpha, dp.beta
 
 
 def delta_inv(alpha: Partition, beta: Partition) -> DesignatedPartition:
-    """Invert `delta` by merging the runs of alpha and beta, both decreasing:
-    a magnitude in beta is designated at its count there, any other at 1."""
-    head = runs(alpha)
-    k = 0
-    entries = []
+    """Invert `delta`: a part of beta must occur at least twice."""
     for d, b in runs(beta):
         if b < 2:
             raise InvalidPartitionError(f"beta magnitude {d} occurs once")
-        while k < len(head) and head[k][0] > d:
-            entries.append((*head[k], 1))
-            k += 1
-        if k < len(head) and head[k][0] == d:
-            entries.append((d, head[k][1] + b, b))
-            k += 1
-        else:
-            entries.append((d, b, b))
-    entries.extend((d, m, 1) for d, m in head[k:])
-    return DesignatedPartition(tuple(entries))
+    return DesignatedPartition(alpha, beta)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -198,9 +181,7 @@ def lambda_pd(dp: DesignatedPartition) -> VTuple:
 
 def lambda_pd_inv(v: VTuple) -> DesignatedPartition:
     l1, l2, l3, core, l5 = v.components
-    alpha = phi_inv((core, l1, l2))
-    beta = psi_inv(l3, l5)
-    return delta_inv(alpha, beta)
+    return delta_inv(phi_inv((core, l1, l2)), psi_inv(l3, l5))
 
 
 # --- two-color partitions ---------------------------------------------------

@@ -12,7 +12,10 @@ is allowed at all.  One run table states those choices once, and every
 reader and writer of such a family goes through it: `_run_options(f, d, m)`
 gives the choices, `_run_text` writes a choice's tokens, `_runs_of` reads
 back the choice an element makes on each run, and `_RUN_ELEMENTS` builds
-elements from the choices alone.  `count_family` sweeps one table per family
+elements from the choices alone.  A designated partition is held as its
+δ-split (alpha, beta), so its choice is a pair of pieces, as a two-colour
+choice is (red, blue) and an overpartition's (parts, overlined): the three
+share one pair builder.  `count_family` sweeps one table per family
 with the number of choices and writes nothing; a weight slice walks the
 partitions of n, generated as their runs (d, m), so no run is recounted, and
 joins each element's text from its choices' texts, so none is formatted only
@@ -68,6 +71,11 @@ class ElementParseError(ValueError):
     pass
 
 
+# object.__setattr__ looked up once: the record constructors store their
+# fields through it, each at about half the cost of a lookup per field.
+_store = object.__setattr__
+
+
 class Family(Record):
     """Family identifier.
 
@@ -85,10 +93,10 @@ class Family(Record):
         residues: tuple[int, ...] = (),
         components: tuple["Family", ...] = (),
     ):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "components", components)
+        _store(self, "tag", tag)
+        _store(self, "modulus", modulus)
+        _store(self, "residues", residues)
+        _store(self, "components", components)
         if tag in ("mod-parts", "mod-distinct"):
             if modulus < 1:
                 raise UnknownFamilyError(f"modulus must be >= 1: {self}")
@@ -135,8 +143,8 @@ class Overpartition(Record):
     __slots__ = ("parts", "overlined")  # overlined: distinct magnitudes, decreasing
 
     def __init__(self, parts: Partition, overlined: tuple[int, ...]):
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "overlined", overlined)
+        _store(self, "parts", parts)
+        _store(self, "overlined", overlined)
 
     @property
     def weight(self) -> int:
@@ -144,32 +152,36 @@ class Overpartition(Record):
 
 
 class DesignatedPartition(Record):
-    # (magnitude, multiplicity, designated index), magnitudes decreasing,
-    # 1 <= index <= multiplicity.
-    __slots__ = ("entries",)
+    """A partition with one copy of each part designated, held as its δ-split:
+    a part d with m copies whose i-th copy is designated puts i copies in
+    beta when i >= 2, and all m in alpha when i = 1.  So each part of beta
+    occurs at least twice, and the designated copy is the count in beta, or 1."""
 
-    def __init__(self, entries: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "entries", entries)
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: Partition, beta: Partition):
+        _store(self, "alpha", alpha)
+        _store(self, "beta", beta)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.entries == other.entries
+        return self.alpha == other.alpha and self.beta == other.beta
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.alpha, self.beta))
 
     @property
     def weight(self) -> int:
-        return sum(d * m for d, m, _ in self.entries)
+        return sum(self.alpha) + sum(self.beta)
 
 
 class TwoColorPartition(Record):
     __slots__ = ("red", "blue")  # blue: all parts even
 
     def __init__(self, red: Partition, blue: Partition):
-        object.__setattr__(self, "red", red)
-        object.__setattr__(self, "blue", blue)
+        _store(self, "red", red)
+        _store(self, "blue", blue)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -192,8 +204,8 @@ class OddStaircase(Record):
     def __init__(self, height: int, one_overlined: bool = False):
         if height == 0 and one_overlined:
             raise InvalidPartitionError("empty odd staircase cannot be overlined")
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "one_overlined", one_overlined)
+        _store(self, "height", height)
+        _store(self, "one_overlined", one_overlined)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -216,7 +228,7 @@ class VTuple(Record):
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[Any, ...]):
-        object.__setattr__(self, "components", components)
+        _store(self, "components", components)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -242,7 +254,9 @@ def element_weight(f: Family, x: Any) -> int:
 def format_element(f: Family, x: Any) -> str:
     """A vector is `(c1;c2;...)`; any other element is its tokens joined by
     `+`, or `0` when it has none.  Total on any value of the family's element
-    type, member or not, so an error message can always show the value."""
+    type, member or not, so an error message can always show the value; a
+    vector value with the wrong number of components is not of that type and
+    raises ShapeMismatchError, as `is_member` does."""
     tag = f.tag
     if tag in _RUN_ELEMENTS:
         toks = [_run_text(tag, d, m, choice) for d, m, choice in _runs_of(f, x)]
@@ -253,8 +267,7 @@ def format_element(f: Family, x: Any) -> str:
         if x.one_overlined:
             toks[-1] += "~"
     elif tag == "vector":
-        inner = ";".join(format_element(g, c) for g, c in zip(f.components, x.components))
-        return f"({inner})"
+        return "(" + ";".join(format_element(g, c) for g, c in _paired(f, x)) + ")"
     else:
         raise UnknownFamilyError(f.tag)
     return "+".join(toks) or "0"
@@ -321,7 +334,8 @@ def _parse_int(tok: str, ctx: str) -> int:
 # --- membership -------------------------------------------------------------
 
 def is_member(f: Family, x: Any) -> bool:
-    """True iff x satisfies the family's constraints.
+    """True iff x satisfies the family's constraints: a value whose parts are
+    out of order or not positive is not a member.
 
     Raises ShapeMismatchError when x is not even the right kind of value.
     """
@@ -330,25 +344,21 @@ def is_member(f: Family, x: Any) -> bool:
         kind, build = _RUN_ELEMENTS[tag]
         _require_type(x, kind, f)
         choices = _runs_of(f, x)
-        p = check_partition(_concat(tuple((d,) * m for d, m, _ in choices)))
+        parts = [d for d, _, _ in choices] + [0]  # one run per part: positive, decreasing
         return (
-            runs(p) == tuple((d, m) for d, m, _ in choices)  # one choice per run
+            all(a > b for a, b in zip(parts, parts[1:]))
             and all(choice in _run_options(f, d, m) for d, m, choice in choices)
             and next(build([(choice,) for _, _, choice in choices])) == x
         )
     if tag == "staircase":
         _require_type(x, tuple, f)
-        return is_staircase(check_partition(x))
+        return is_staircase(x)
     if tag == "odd-staircase":
         _require_type(x, OddStaircase, f)
         return x.height >= 0
     if tag == "vector":
         _require_type(x, VTuple, f)
-        if len(x.components) != len(f.components):
-            raise ShapeMismatchError(
-                f"expected {len(f.components)} components, got {len(x.components)}"
-            )
-        return all(is_member(g, c) for g, c in zip(f.components, x.components))
+        return all(is_member(g, c) for g, c in _paired(f, x))
     raise UnknownFamilyError(f.tag)
 
 
@@ -361,6 +371,13 @@ def require_member(f: Family, x: Any) -> Any:
 def _require_type(x, kind, f: Family):
     if not isinstance(x, kind):
         raise ShapeMismatchError(f"family {f.tag} expects {kind.__name__}, got {type(x).__name__}")
+
+
+def _paired(f: Family, x: VTuple) -> Iterator[tuple[Family, Any]]:
+    """(component family, component) for each component of a vector value."""
+    if len(x.components) != len(f.components):
+        raise ShapeMismatchError(f"expected {len(f.components)} components, got {len(x.components)}")
+    return zip(f.components, x.components)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -423,8 +440,8 @@ def _run_options(f: Family, d: int, m: int) -> tuple:
     is the run's share of the element, as `_RUN_ELEMENTS` builds it and
     `_run_text` writes it."""
     tag = f.tag
-    if tag == "designated":  # which copy is designated: the entry (d, m, i)
-        return tuple((d, m, i) for i in range(1, m + 1))
+    if tag == "designated":  # (alpha, beta) parts: the i-th copy designated
+        return ((d,) * m, ()), *(((d,) * (m - i), (d,) * i) for i in range(2, m + 1))
     if tag == "two-color":  # (red, blue) parts: b blue copies; an odd part is red
         blues = range(m + 1) if d % 2 == 0 else (0,)
         return tuple(((d,) * (m - b), (d,) * b) for b in blues)
@@ -445,8 +462,9 @@ def _run_options(f: Family, d: int, m: int) -> tuple:
 def _run_text(tag: str, d: int, m: int, choice) -> str:
     """The tokens of m copies of the part d under one choice of `_run_options`:
     the one writer of a run's text, for slices and `format_element` alike."""
-    if tag == "designated":  # the i-th copy primed
-        return "+".join(f"{d}'" if j == choice[2] else str(d) for j in range(1, m + 1))
+    if tag == "designated":  # the i-th copy primed: i is the count in beta, or 1
+        i = len(choice[1]) or 1
+        return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
     if tag == "two-color":  # the blue copies first
         return "+".join([f"{d}b"] * len(choice[1]) + [f"{d}r"] * len(choice[0]))
     toks = [str(d)] * m
@@ -459,13 +477,11 @@ def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
     """(d, m, choice) for each run of m copies of a part d of x, magnitudes as
     x holds them: the choice x makes on that run, read back from x."""
     tag = f.tag
-    if tag == "designated":
-        return tuple((d, m, (d, m, i)) for d, m, i in x.entries)
-    if tag == "two-color":
-        red, blue = Counter(x.red), Counter(x.blue)
+    if tag in ("designated", "two-color"):  # (alpha, beta) or (red, blue)
+        first, second = map(Counter, x._fields())
         return tuple(
-            (d, red[d] + blue[d], ((d,) * red[d], (d,) * blue[d]))
-            for d in sorted(red.keys() | blue.keys(), reverse=True)
+            (d, first[d] + second[d], ((d,) * first[d], (d,) * second[d]))
+            for d in sorted(first.keys() | second.keys(), reverse=True)
         )
     if tag == "overpartition":
         return tuple(
@@ -474,21 +490,20 @@ def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
     return tuple((d, m, (d,) * m) for d, m in runs(x))
 
 
-def _concat(runs: tuple[Partition, ...]) -> Partition:
-    return sum(runs, EMPTY)
-
-
 def _plain_elements(choices: list[tuple]) -> Iterator[Partition]:
-    return map(_concat, itertools.product(*choices))
+    return (sum(pieces, EMPTY) for pieces in itertools.product(*choices))
 
 
 def _pair_elements(kind: type):
-    """Builds a kind of two fields, each joined from one half of the choices."""
-    return lambda choices: map(
-        kind,
-        _plain_elements([[first for first, _ in run] for run in choices]),
-        _plain_elements([[second for _, second in run] for run in choices]),
-    )
+    """Builds a kind of two fields from (first, second) run choices, run by
+    run: each run's pieces extend the fields built so far, so elements that
+    agree on their first runs share those runs' concatenations."""
+    def build(choices: list[tuple]) -> Iterator:
+        fields = [(EMPTY, EMPTY)]
+        for run in choices:
+            fields = [(a + first, b + second) for a, b in fields for first, second in run]
+        return itertools.starmap(kind, fields)
+    return build
 
 
 # tag -> (element type, the elements given the choices allowed on each run):
@@ -498,9 +513,7 @@ _RUN_ELEMENTS = {
     "mod-distinct": (tuple, _plain_elements),
     "pod": (tuple, _plain_elements),
     "overpartition": (Overpartition, _pair_elements(Overpartition)),
-    "designated": (DesignatedPartition, lambda choices: map(
-        DesignatedPartition, itertools.product(*choices)
-    )),
+    "designated": (DesignatedPartition, _pair_elements(DesignatedPartition)),
     "two-color": (TwoColorPartition, _pair_elements(TwoColorPartition)),
 }
 

@@ -19,6 +19,7 @@ from .families import (
     A,
     A_IMAGE,
     DEFAULT_CEILING,
+    NAMED_FAMILIES,
     Family,
     PD,
     PD_IMAGE,
@@ -187,13 +188,16 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
 
 
 def _witness(f: Family, y: Any) -> str:
-    """The text of a pulled-back value, marked when it is not in f: the
-    writer is total, but writes a member's text for some non-members."""
+    """The text of a pulled-back value, marked with f's name when it is not
+    in f: the writer is total, but writes a member's text for some
+    non-members.  A value not even of f's kind is shown by its repr."""
+    name = next((key for key, g in NAMED_FAMILIES.items() if g == f), f.tag)
     try:
-        member = is_member(f, y)
-    except (InvalidPartitionError, ShapeMismatchError):
-        member = False
-    return format_element(f, y) + ("" if member else f" (not in {f.tag})")
+        if is_member(f, y):
+            return format_element(f, y)
+    except ShapeMismatchError:  # the wrong type, or a vector of the wrong length
+        return f"{y!r} (not in {name})"
+    return f"{format_element(f, y)} (not in {name})"
 
 
 # --- reports ----------------------------------------------------------------

@@ -40,7 +40,7 @@ def generate(f, n):
                 [(d, len(run), i) for i in range(1, len(run) + 1)]
                 for d, run in ((d, list(run)) for d, run in itertools.groupby(p))
             ]
-            yield from map(DesignatedPartition, itertools.product(*choices))
+            yield from map(designated, itertools.product(*choices))
     elif tag == "two-color":  # red parts any, blue parts even
         for b in range(0, n + 1, 2):
             for blue in restricted_partitions(b, b, 2, {0}, distinct=False):
@@ -48,6 +48,19 @@ def generate(f, n):
                     yield TwoColorPartition(red, blue)
     else:  # the staircases
         yield from _generate(f, n)
+
+
+def designated(entries):
+    """The designated partition with an entry (d, m, i) for each part d of m
+    copies, magnitudes decreasing, whose i-th copy is designated.  It is held
+    as its split (alpha, beta): beta takes the i copies when i >= 2, and alpha
+    takes the rest, or all m when i = 1."""
+    alpha, beta = [], []
+    for d, m, i in entries:
+        moved = i if i >= 2 else 0
+        beta += [d] * moved
+        alpha += [d] * (m - moved)
+    return DesignatedPartition(tuple(alpha), tuple(beta))
 
 
 def ordinary_partitions(n):

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from family_generators import designated
 from vrank import bijections
 from vrank.bijections import (
     KERNEL_CACHE_SIZE,
@@ -25,7 +28,6 @@ from vrank.bijections import (
 from vrank.families import (
     A,
     A_IMAGE,
-    DesignatedPartition,
     ORDINARY,
     OddStaircase,
     PD,
@@ -219,13 +221,13 @@ def test_delta_all_first_designated():
 
 
 def test_delta_derived():
-    dp = DesignatedPartition(((1, 3, 2),))
+    dp = parse_element(PD, "1+1'+1")
     assert delta(dp) == ((1,), (1, 1))
 
 
 def test_delta_last_occurrence_designated():
     # i_d = m_d sends every copy to beta
-    dp = DesignatedPartition(((2, 2, 2),))
+    dp = parse_element(PD, "2+2'")
     assert delta(dp) == ((), (2, 2))
 
 
@@ -392,9 +394,14 @@ def test_wright_inv_rejects_odd_pi():
 
 # --- run-length kernels against the per-magnitude .count() copies -----------
 
-def _reference_delta(dp):
+def _reference_delta(text):
+    """delta read off a designated element's text: m copies of a part d whose
+    i-th copy is primed."""
     alpha, beta = [], []
-    for d, m, i in dp.entries:
+    toks = [] if text == "0" else text.split("+")
+    for d, run in itertools.groupby(toks, key=lambda tok: int(tok.rstrip("'"))):
+        primed = [tok.endswith("'") for tok in run]
+        m, i = len(primed), primed.index(True) + 1
         if i == 1:
             alpha.extend([d] * m)
         else:
@@ -411,7 +418,7 @@ def _reference_delta_inv(alpha, beta):
     for d in sorted(set(alpha) | set(beta), reverse=True):
         a, b = alpha.count(d), beta.count(d)
         entries.append((d, a + b, b if b else 1))
-    return DesignatedPartition(tuple(entries))
+    return designated(tuple(entries))
 
 
 def _reference_psi(beta):
@@ -444,7 +451,7 @@ def test_delta_and_psi_match_reference_exhaustive():
     for n in range(17):
         for dp in enumerate_family(PD, n):
             alpha, beta = delta(dp)
-            assert (alpha, beta) == _reference_delta(dp)
+            assert (alpha, beta) == _reference_delta(format_element(PD, dp))
             assert delta_inv(alpha, beta) == _reference_delta_inv(alpha, beta) == dp
             assert psi.__wrapped__(beta) == _reference_psi(beta)
 
@@ -474,13 +481,13 @@ def heavy_designated(draw):
     for d in sorted(set(p), reverse=True):
         m = p.count(d)
         entries.append((d, m, draw(st.integers(1, m))))
-    return DesignatedPartition(tuple(entries))
+    return designated(tuple(entries))
 
 
 @given(heavy_designated(), heavy_partitions(), st.booleans())
 def test_delta_and_psi_match_reference_at_large_weights(dp, p, doubled):
     alpha, beta = delta(dp)
-    assert (alpha, beta) == _reference_delta(dp)
+    assert (alpha, beta) == _reference_delta(format_element(PD, dp))
     assert delta_inv(alpha, beta) == dp
     # a beta drawn freely usually has a magnitude that occurs once, which both
     # kernels refuse; doubling every part makes a valid one

@@ -6,7 +6,7 @@ import pytest
 
 from vrank import orbits
 from vrank.cli import VERIFY_CEILING, build_parser, main
-from vrank.families import NAMED_FAMILIES, PD, DesignatedPartition, VTuple, parse_element
+from vrank.families import NAMED_FAMILIES, PD, POD2, DesignatedPartition, VTuple, parse_element
 from vrank.partition import union
 
 CEILING = str(VERIFY_CEILING)
@@ -178,10 +178,11 @@ def test_verify_failed_round_trip_exits_1(capsys, monkeypatch):
 
 
 def test_verify_marks_a_witness_outside_the_family(capsys, monkeypatch):
-    # the writer is total, so this non-member still gets a text, 3'+; the
-    # witness says that the value behind it is not in the family
+    # this non-member, whose beta part 2 occurs once, is written 3'+2' as the
+    # member with alpha (3, 2) is; the witness says that the value behind the
+    # text is not in the family, by the name --family takes
     forward, _, image = orbits.family_bijection(PD)
-    wrong = DesignatedPartition(((3, 1, 1), (2, 0, 1)))
+    wrong = DesignatedPartition((3,), (2,))
     monkeypatch.setitem(orbits._LAMBDAS, PD, (forward, lambda v: wrong, image))
     code, out, err = run(
         capsys, "verify", "--family", "pd", "--max-n", "5", "--method", "orbits"
@@ -190,8 +191,31 @@ def test_verify_marks_a_witness_outside_the_family(capsys, monkeypatch):
     assert err == ""
     assert out.splitlines()[1:] == [
         "pd orbits: FAIL",
-        "orbits: round trip of 1'+1 at n=2 gives 3'+ (not in designated)",
-        "orbits: round trip of 1'+1+1+1+1 at n=5 gives 3'+ (not in designated)",
+        "orbits: round trip of 1'+1 at n=2 gives 3'+2' (not in pd)",
+        "orbits: round trip of 1'+1+1+1+1 at n=5 gives 3'+2' (not in pd)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "wrong, witness",
+    [
+        (VTuple(((3, 3), ())), "(3+3;0) (not in pod2)"),  # an odd part repeats
+        # too few components to write: the value's repr stands in
+        (VTuple(((3, 1),)), "VTuple(components=((3, 1),)) (not in pod2)"),
+    ],
+    ids=["non-member", "too-few-components"],
+)
+def test_verify_names_a_vector_witness_by_its_family(capsys, monkeypatch, wrong, witness):
+    forward, _, image = orbits.family_bijection(POD2)
+    monkeypatch.setitem(orbits._LAMBDAS, POD2, (forward, lambda v: wrong, image))
+    code, out, err = run(
+        capsys, "verify", "--family", "pod2", "--max-n", "2", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pod2 orbits: FAIL",
+        f"orbits: round trip of (0;2) at n=2 gives {witness}",
     ]
 
 

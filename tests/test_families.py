@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from family_generators import generate, split_products
+from family_generators import designated, generate, split_products
 from vrank import families, orbits
 from vrank.families import (
     A,
@@ -29,6 +29,7 @@ from vrank.families import (
     ShapeMismatchError,
     TwoColorPartition,
     UnknownFamilyError,
+    VTuple,
     _run_text,
     count_family,
     element_weight,
@@ -63,7 +64,7 @@ def test_membership_overlines_each_present_part_once_in_order():
 def test_format_is_total_and_membership_refuses():
     # an orbit error formats the element it pulled back, member or not
     for f, x, text in [
-        (PD, DesignatedPartition(((2, 2, 3),)), "2+2"),     # index above the multiplicity
+        (PD, DesignatedPartition((), (2,)), "2'"),          # a part of beta occurs once
         (OVERPARTITION, Overpartition((3, 1), (2,)), "3+1"),  # overlines an absent part
         (A, TwoColorPartition((), (3,)), "3b"),             # an odd blue part
     ]:
@@ -71,9 +72,32 @@ def test_format_is_total_and_membership_refuses():
         assert not is_member(f, x)
 
 
+def test_membership_refuses_disorder_in_the_last_pair():
+    assert is_member(ORDINARY, (3, 2, 1))
+    assert is_member(ORDINARY, (3, 1, 2)) is False
+    assert is_member(STAIRCASE, (1, 2)) is False
+    assert is_member(PD, DesignatedPartition((), (3, 3, 2, 2)))
+    assert not is_member(PD, DesignatedPartition((), (3, 2, 2, 3)))
+
+
+def test_membership_refuses_parts_not_positive():
+    assert is_member(ORDINARY, (2, 0)) is False
+    assert is_member(POD, (2, -1)) is False
+    assert not is_member(PD, DesignatedPartition((2, 0), ()))
+    assert not is_member(A, TwoColorPartition((0,), ()))
+
+
+def test_format_refuses_a_vector_of_the_wrong_length():
+    # written shorter, a short tuple would give a text that parse refuses
+    for f, x in [(A_IMAGE, VTuple(((2,), (4,)))), (POD2, VTuple(((3, 1),)))]:
+        for check in (format_element, is_member):
+            with pytest.raises(ShapeMismatchError, match="expected .* components"):
+                check(f, x)
+
+
 def test_membership_shape_mismatch_is_an_error():
     with pytest.raises(ShapeMismatchError):
-        is_member(A, DesignatedPartition(((1, 1, 1),)))
+        is_member(A, DesignatedPartition((1,), ()))
     with pytest.raises(ShapeMismatchError):
         is_member(PD, (3, 1))
 
@@ -143,7 +167,8 @@ def test_grammar_round_trip(f, n):
 
 def test_grammar_examples():
     dp = parse_element(PD, "20+20+20'+4+4'")
-    assert dp.entries == ((20, 3, 3), (4, 2, 2))
+    assert dp == designated(((20, 3, 3), (4, 2, 2)))
+    assert dp.alpha == () and dp.beta == (20, 20, 20, 4, 4)
     op = parse_element(OVERPARTITION, "4~+4+1")
     assert op.parts == (4, 4, 1) and op.overlined == (4,)
     tri = parse_element(ODD_STAIRCASE, "5+3+1~")
@@ -176,8 +201,9 @@ def _reference_text(x):
     """The earlier token-by-token text of a designated or two-color element."""
     if isinstance(x, DesignatedPartition):
         toks = []
-        for d, m, i in x.entries:
-            toks.extend(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
+        for d in sorted(set(x.alpha + x.beta), reverse=True):
+            a, b = x.alpha.count(d), x.beta.count(d)
+            toks.extend(f"{d}'" if j == (b or 1) else str(d) for j in range(1, a + b + 1))
     else:
         pairs = [(v, "r") for v in x.red] + [(v, "b") for v in x.blue]
         pairs.sort(key=lambda p: (-p[0], p[1]))
@@ -192,7 +218,7 @@ def test_designated_and_two_color_text_match_reference():
         for f in (PD, A):
             for x in enumerate_family(f, n):
                 assert format_element(f, x) == _reference_text(x)
-    heavy = DesignatedPartition(((30, 1, 1), (7, 12, 12), (2, 40, 17), (1, 3, 1)))
+    heavy = designated(((30, 1, 1), (7, 12, 12), (2, 40, 17), (1, 3, 1)))
     assert format_element(PD, heavy) == _reference_text(heavy)
     mixed = TwoColorPartition((9, 4, 4, 1), (10, 4, 2, 2))
     assert format_element(A, mixed) == _reference_text(mixed) == "10b+9r+4b+4r+4r+2b+2b+1r"

@@ -9,6 +9,7 @@ tuple of pd, a or pod2, checked in the other direction.
 
 from hypothesis import assume, given, settings, strategies as st
 
+from family_generators import designated
 from vrank.bijections import (
     CoreQuotientTriple,
     WrightDecomposition,
@@ -20,7 +21,6 @@ from vrank.bijections import (
 from vrank.families import (
     A,
     DISTINCT_ODD,
-    DesignatedPartition,
     OddStaircase,
     PD,
     POD2,
@@ -68,7 +68,7 @@ def designated_partitions(draw):
     for d in sorted(set(p), reverse=True):
         m = p.count(d)
         entries.append((d, m, draw(st.integers(1, m))))
-    return DesignatedPartition(tuple(entries))
+    return designated(tuple(entries))
 
 
 @st.composite

@@ -47,6 +47,11 @@ def test_mul_trivial():
     assert s.mul(one(3)) == s
 
 
+def test_repr_elides_only_beyond_eight_coefficients():
+    assert repr(PowerSeries(range(8))) == "PowerSeries([0, 1, 2, 3, 4, 5, 6, 7])"  # truncation 7
+    assert repr(PowerSeries(range(9))) == "PowerSeries([0, 1, 2, 3, 4, 5, 6, 7, ...])"
+
+
 def test_mul_truncates_to_shorter():
     assert PowerSeries([1, 1, 1]).mul(one(10)).truncation == 2
 

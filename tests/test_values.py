@@ -27,7 +27,7 @@ from vrank.partition import InvalidPartitionError
 
 E = ((3, 2, 1), (1, 1, 1))
 TRIPLE = ((2,), (), OddStaircase(1))
-MEMBERS = ((DesignatedPartition(E), VTuple(TRIPLE), 1),)
+MEMBERS = ((DesignatedPartition(*E), VTuple(TRIPLE), 1),)
 
 # (value, the same value built by keyword)
 VALUES = {
@@ -37,7 +37,7 @@ VALUES = {
         Family(tag="vector", components=(EVEN_PARTS, STAIRCASE)),
     ),
     "overpartition": (Overpartition((3, 3, 1), (3,)), Overpartition(parts=(3, 3, 1), overlined=(3,))),
-    "designated": (DesignatedPartition(E), DesignatedPartition(entries=E)),
+    "designated": (DesignatedPartition(*E), DesignatedPartition(alpha=E[0], beta=E[1])),
     "two-color": (TwoColorPartition((3, 1), (2,)), TwoColorPartition(red=(3, 1), blue=(2,))),
     "odd-staircase": (OddStaircase(2, True), OddStaircase(height=2, one_overlined=True)),
     "odd-staircase-default": (OddStaircase(2), OddStaircase(2, False)),
@@ -83,9 +83,9 @@ def test_values_are_not_tuples(value, by_keyword):
 
 
 def test_equality_is_type_strict():
-    assert DesignatedPartition(E) != VTuple(E)
-    assert DesignatedPartition(E) != (E,)
-    assert (E,) != DesignatedPartition(E)
+    assert DesignatedPartition(*E) != VTuple(E)
+    assert DesignatedPartition(*E) != E
+    assert E != DesignatedPartition(*E)
     assert VTuple(TRIPLE) != (TRIPLE,)
     assert VTuple(TRIPLE) != TRIPLE
     assert TwoColorPartition((1,), (2,)) != ((1,), (2,))
@@ -93,11 +93,11 @@ def test_equality_is_type_strict():
     assert OddStaircase(1) != (1, False)
     assert Family("designated") != ("designated", 0, (), ())
     assert Orbit(MEMBERS) != MEMBERS
-    assert len({DesignatedPartition(E), VTuple(E), (E,), E}) == 4
+    assert len({DesignatedPartition(*E), VTuple(E), (E,), E}) == 4
 
 
 def test_unequal_fields_make_unequal_values():
-    assert DesignatedPartition(E) != DesignatedPartition(E[:1])
+    assert DesignatedPartition(*E) != DesignatedPartition(E[0], ())
     assert TwoColorPartition((3, 1), (2,)) != TwoColorPartition((3, 1), ())
     assert OddStaircase(2, True) != OddStaircase(2)
     assert Family("mod-parts", 3, (1,)) != Family("mod-parts", 3, (2,))
@@ -106,7 +106,7 @@ def test_unequal_fields_make_unequal_values():
 
 def test_repr_names_the_fields():
     assert repr(OddStaircase(2)) == "OddStaircase(height=2, one_overlined=False)"
-    assert repr(DesignatedPartition(((2, 1, 1),))) == "DesignatedPartition(entries=((2, 1, 1),))"
+    assert repr(DesignatedPartition((2,), ())) == "DesignatedPartition(alpha=(2,), beta=())"
     assert repr(TwoColorPartition((1,), (2,))) == "TwoColorPartition(red=(1,), blue=(2,))"
     assert repr(ORDINARY) == "Family(tag='mod-parts', modulus=1, residues=(0,), components=())"
 
