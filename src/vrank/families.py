@@ -16,14 +16,15 @@ elements from the choices alone.  A designated partition is held as its
 δ-split (alpha, beta), so its choice is a pair of pieces, as a two-colour
 choice is (red, blue) and an overpartition's (parts, overlined): the three
 share one pair builder.  `count_family` sweeps one table per family
-with the number of choices and writes nothing; a weight slice walks the
-partitions of n, generated as their runs (d, m), so no run is recounted, and
-joins each element's text from its choices' texts, so none is formatted only
-to be sorted; `format_element` joins the texts of an element's runs;
-`parse_element` accepts a run only as the text of one of its choices, so each
-element has one text; and `is_member` requires each run's choice to be in
-the table.  A vector's counts convolve its components' tables, and a
-staircase family is counted from its generator.
+with the number of choices and writes nothing, in place and in plain loops
+(under CPython <= 3.11 a comprehension is a call per cell); a weight slice
+walks the partitions of n, generated as their runs (d, m), so no run is
+recounted, and joins each element's text from its choices' texts, so none is
+formatted only to be sorted; `format_element` joins the texts of an element's
+runs; `parse_element` accepts a run only as the text of one of its choices, so
+each element has one text; and `is_member` requires each run's choice to be in
+the table.  A vector's counts convolve its components' tables, and a staircase
+family is counted from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
 sorted by text.  The slices of vector *components* are memoized per (family,
@@ -255,9 +256,10 @@ def format_element(f: Family, x: Any) -> str:
     """A vector is `(c1;c2;...)`; any other element is its tokens joined by
     `+`, or `0` when it has none.  Total on any value of the family's element
     type, member or not, so an error message can always show the value; a
-    vector value with the wrong number of components is not of that type and
-    raises ShapeMismatchError, as `is_member` does."""
+    value of another type, or a vector value with the wrong number of
+    components, raises ShapeMismatchError, as in `is_member`."""
     tag = f.tag
+    _require_type(f, x)
     if tag in _RUN_ELEMENTS:
         toks = [_run_text(tag, d, m, choice) for d, m, choice in _runs_of(f, x)]
     elif tag == "staircase":
@@ -266,10 +268,8 @@ def format_element(f: Family, x: Any) -> str:
         toks = [str(v) for v in x.parts]
         if x.one_overlined:
             toks[-1] += "~"
-    elif tag == "vector":
+    else:  # a vector
         return "(" + ";".join(format_element(g, c) for g, c in _paired(f, x)) + ")"
-    else:
-        raise UnknownFamilyError(f.tag)
     return "+".join(toks) or "0"
 
 
@@ -340,26 +340,20 @@ def is_member(f: Family, x: Any) -> bool:
     Raises ShapeMismatchError when x is not even the right kind of value.
     """
     tag = f.tag
+    _require_type(f, x)
     if tag in _RUN_ELEMENTS:
-        kind, build = _RUN_ELEMENTS[tag]
-        _require_type(x, kind, f)
         choices = _runs_of(f, x)
         parts = [d for d, _, _ in choices] + [0]  # one run per part: positive, decreasing
         return (
             all(a > b for a, b in zip(parts, parts[1:]))
             and all(choice in _run_options(f, d, m) for d, m, choice in choices)
-            and next(build([(choice,) for _, _, choice in choices])) == x
+            and next(_RUN_ELEMENTS[tag][1]([(choice,) for _, _, choice in choices])) == x
         )
     if tag == "staircase":
-        _require_type(x, tuple, f)
         return is_staircase(x)
     if tag == "odd-staircase":
-        _require_type(x, OddStaircase, f)
         return x.height >= 0
-    if tag == "vector":
-        _require_type(x, VTuple, f)
-        return all(is_member(g, c) for g, c in _paired(f, x))
-    raise UnknownFamilyError(f.tag)
+    return all(is_member(g, c) for g, c in _paired(f, x))  # a vector
 
 
 def require_member(f: Family, x: Any) -> Any:
@@ -368,7 +362,11 @@ def require_member(f: Family, x: Any) -> Any:
     return x
 
 
-def _require_type(x, kind, f: Family):
+def _require_type(f: Family, x: Any):
+    """Refuses a value not of f's element type, and a family with none."""
+    if f.tag not in _ELEMENT_TYPES:
+        raise UnknownFamilyError(f.tag)
+    kind = _ELEMENT_TYPES[f.tag]
     if not isinstance(x, kind):
         raise ShapeMismatchError(f"family {f.tag} expects {kind.__name__}, got {type(x).__name__}")
 
@@ -419,7 +417,11 @@ def _count_table(f: Family, n: int) -> list[int]:
         table = [1] + [0] * n
         for g in f.components:
             counts = _counts(g, n)
-            table = [sum(table[v] * counts[w - v] for v in range(w + 1)) for w in range(n + 1)]
+            for w in range(n, -1, -1):  # table[v], v <= w, still without g
+                total = 0
+                for v in range(w + 1):
+                    total += table[v] * counts[w - v]
+                table[w] = total
         return table
     if f.tag not in _RUN_ELEMENTS:  # the staircases: at most two elements per weight
         return [len(_generate(f, w)) for w in range(n + 1)]
@@ -428,10 +430,11 @@ def _count_table(f: Family, n: int) -> list[int]:
     table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
     for d in range(1, n + 1):
         ways = [0] + [len(_run_options(f, d, m)) for m in range(1, n // d + 1)]
-        table = [
-            table[w] + sum(ways[m] * table[w - m * d] for m in range(1, w // d + 1))
-            for w in range(n + 1)
-        ]
+        for w in range(n, d - 1, -1):  # table[w - m*d], m >= 1, still without d
+            total = table[w]
+            for m in range(1, w // d + 1):
+                total += ways[m] * table[w - m * d]
+            table[w] = total
     return table
 
 
@@ -516,6 +519,8 @@ _RUN_ELEMENTS = {
     "designated": (DesignatedPartition, _pair_elements(DesignatedPartition)),
     "two-color": (TwoColorPartition, _pair_elements(TwoColorPartition)),
 }
+_ELEMENT_TYPES = {tag: kind for tag, (kind, _) in _RUN_ELEMENTS.items()}
+_ELEMENT_TYPES.update({"staircase": tuple, "odd-staircase": OddStaircase, "vector": VTuple})
 
 
 def _generate(f: Family, n: int) -> list:

@@ -9,7 +9,9 @@ its components' maps, so no map is derived from a bijection.
 `build_series` applies a map in as few sparse sweeps as it finds.  Every
 kernel is a Ramanujan theta f(s q^x, s q^y), whose O(sqrt(N/x)) nonzero
 coefficients are the taps of one in-place O(N sqrt N) sweep (`_apply_eta`);
-each unit of a kernel's exponent is one sweep.  The kernel table, with the
+each unit of a kernel's exponent is one sweep.  A sweep sums its taps in
+plain loops: under CPython <= 3.11 a comprehension is a call per coefficient,
+which costs more than the additions it wraps.  The kernel table, with the
 eta vector each kernel stands for:
 
     phi(q^a)  = f(q^a, q^a)       = f_2a^5 / (f_a^2 f_4a^2)   Jacobi
@@ -101,7 +103,12 @@ def _apply_eta(coeffs: list[int], taps: list[tuple[int, int]], scale: int, expon
             add, sub = ([g for g, t in taps[: b + 1] if t == s] for s in (1, -1))
             sweep = range(taps[b][0], ends[b])
             for i in sweep if m < 0 else reversed(sweep):
-                coeffs[i] += m * (sum([coeffs[i - g] for g in add]) - sum([coeffs[i - g] for g in sub]))
+                total = 0
+                for g in add:
+                    total += coeffs[i - g]
+                for g in sub:
+                    total -= coeffs[i - g]
+                coeffs[i] += m * total
 
 
 def _theta_taps(x: int, y: int, sign: int, n: int) -> tuple[list[tuple[int, int]], int]:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from family_generators import designated, generate, split_products
 from vrank import families, orbits
@@ -16,6 +17,7 @@ from vrank.families import (
     Family,
     NAMED_FAMILIES,
     ODD_STAIRCASE,
+    OddStaircase,
     OP2,
     ORDINARY,
     OVERPARTITION,
@@ -100,6 +102,33 @@ def test_membership_shape_mismatch_is_an_error():
         is_member(A, DesignatedPartition((1,), ()))
     with pytest.raises(ShapeMismatchError):
         is_member(PD, (3, 1))
+
+
+# one family of each tag, and one value of each element type
+ONE_PER_TAG = [ORDINARY, DISTINCT_ODD, POD, OVERPARTITION, PD, A, STAIRCASE, ODD_STAIRCASE, POD2]
+ONE_PER_TYPE = [
+    (3, 1),
+    Overpartition((3, 1), (3,)),
+    DesignatedPartition((1,), ()),
+    TwoColorPartition((1,), (2,)),
+    OddStaircase(1),
+    VTuple(((1,),)),
+]
+
+
+def test_format_and_membership_refuse_a_value_of_another_type():
+    assert {f.tag for f in ONE_PER_TAG} == {*families._RUN_ELEMENTS, "staircase", "odd-staircase",
+                                            "vector"}
+    for f in ONE_PER_TAG:
+        wrong = [x for x in ONE_PER_TYPE if not isinstance(x, families._ELEMENT_TYPES[f.tag])]
+        assert len(wrong) == len(ONE_PER_TYPE) - 1, f.tag
+        for x in wrong:
+            for check in (format_element, is_member):
+                with pytest.raises(ShapeMismatchError, match=f"family {f.tag} expects"):
+                    check(f, x)
+    for check in (format_element, is_member):
+        with pytest.raises(UnknownFamilyError):
+            check(Family("nope"), (1,))
 
 
 def test_enumerate_a_2():
@@ -347,6 +376,30 @@ def test_counts_match_the_series_to_60(name):
     f = SERIES_CHECKED[name]
     s = family_series(f, 60)
     assert [count_family(f, n, ceiling=60) for n in range(61)] == s.coeffs
+
+
+@st.composite
+def residue_families(draw):
+    t = draw(st.integers(1, 12))
+    residues = tuple(sorted(draw(st.sets(st.integers(0, t - 1)))))
+    return Family(draw(st.sampled_from(["mod-parts", "mod-distinct"])), t, residues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_families() | st.tuples(residue_families(), residue_families()).map(
+    lambda pair: Family("vector", components=pair)))
+def test_random_residue_counts_match_the_series_to_80(f):
+    assert [count_family(f, n, ceiling=80) for n in range(81)] == family_series(f, 80).coeffs
+
+
+@pytest.mark.parametrize("f", [POD2, OP2, PD_IMAGE], ids=["pod2", "op2", "pd-image"])
+def test_a_rebuilt_count_table_equals_a_fresh_one(f, monkeypatch):
+    monkeypatch.setattr(families, "_COUNTS", {})
+    fresh = families._counts(f, 120)
+    monkeypatch.setattr(families, "_COUNTS", {})
+    count_family(f, 30, ceiling=30)
+    assert len(families._COUNTS[f]) == 31
+    assert families._counts(f, 120) == fresh and len(fresh) == 121
 
 
 def test_enumeration_leaves_runs_alone(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -365,6 +366,28 @@ def test_eta_kernels_equal_their_eta_forms_to_3000(kernel, a):
     s = one(3000)
     _apply_eta(s.coeffs, *_theta_taps(a * x, a * y, sign, 3000), 1)
     assert s == _reference_build({(c * a, c * a): e for c, e in vector.items()}, 3000)
+
+
+_SIGNED = random.Random(20210303).choices(range(-10**6, 10**6 + 1), k=3001)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("kernel", range(len(_ETA_KERNELS)))
+def test_eta_sweeps_undo_each_other_to_3000(kernel, a):
+    # exponent k sweeps downward and -k upward; each order must give back
+    # every coefficient, across every block boundary, scale 2 included
+    (x, y, sign), _ = _ETA_KERNELS[kernel]
+    taps, scale = _theta_taps(a * x, a * y, sign, 3000)
+    theta = one(3000).coeffs
+    _apply_eta(theta, taps, scale, 1)  # 1 + scale * sum_g t_g q^g
+    assert theta == [1] + [scale * dict(taps).get(i, 0) for i in range(1, 3001)]
+    for k in (1, 2):
+        for first in (k, -k):
+            coeffs = list(_SIGNED)
+            _apply_eta(coeffs, taps, scale, first)
+            assert coeffs != _SIGNED
+            _apply_eta(coeffs, taps, scale, -first)
+            assert coeffs == _SIGNED, (k, first)
 
 
 @pytest.mark.parametrize("r, t", [(1, 3), (1, 4), (1, 5), (2, 7)])
