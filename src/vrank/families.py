@@ -426,14 +426,19 @@ def _count_table(f: Family, n: int) -> list[int]:
     if f.tag not in _RUN_ELEMENTS:  # the staircases: at most two elements per weight
         return [len(_generate(f, w)) for w in range(n + 1)]
     # The sum over the partitions of n of the product of the run choices:
-    # one sweep over the weights per part size d, no partition built.
+    # one sweep over the weights per part size d that allows a run, reading
+    # only the multiplicities it allows; no partition built.
     table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
     for d in range(1, n + 1):
-        ways = [0] + [len(_run_options(f, d, m)) for m in range(1, n // d + 1)]
+        ways = [(m * d, k) for m in range(1, n // d + 1) if (k := len(_run_options(f, d, m)))]
+        if not ways:  # no run of d: the table is already the count with parts <= d
+            continue
         for w in range(n, d - 1, -1):  # table[w - m*d], m >= 1, still without d
             total = table[w]
-            for m in range(1, w // d + 1):
-                total += ways[m] * table[w - m * d]
+            for size, k in ways:
+                if size > w:
+                    break
+                total += k * table[w - size]
             table[w] = total
     return table
 
@@ -611,8 +616,9 @@ def _partitions(n: int, max_part: int) -> Iterator[tuple[tuple[int, int], ...]]:
         return
     for d in range(min(n, max_part), 0, -1):
         for m in range(n // d, 0, -1):
+            head = ((d, m),)  # one run pair, shared by every tail
             for tail in _partitions(n - m * d, d - 1):
-                yield ((d, m),) + tail
+                yield head + tail
 
 
 # --- CLI-facing catalog -----------------------------------------------------
@@ -638,8 +644,10 @@ def family_by_name(name: str) -> Family:
     if key and key[0] in ("p", "d") and "_" in key:
         head, _, tail = key.partition("_")
         try:
-            t = int(head[1:])
-            residues = tuple(sorted(int(r) for r in tail.split(",")))
+            t, *residues = map(int, (head[1:], *tail.split(",")))
+            if key != f"{key[0]}{t}_{','.join(map(str, residues))}":  # numbers as `str` writes them
+                raise ValueError(f"non-canonical number in {name!r}")
+            residues = tuple(sorted(residues))
             tag = "mod-parts" if key[0] == "p" else "mod-distinct"
             return Family(tag, t, residues)
         except (ValueError, UnknownFamilyError) as e:

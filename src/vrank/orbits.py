@@ -6,8 +6,10 @@ first three components and cyclically shifts the parts inside it; applied
 three times it is the identity, and the three ranks along an orbit hit all
 residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
-One memo, `_step`, holds a step's case and its shifted triple together:
-the operator reads and moves only the first three components.
+The operator reads and moves only the first three components, and its one
+memo, `_residues`, is keyed by a single partition: far fewer partitions than
+triples of them occur, and a shifted component that gains no part, or keeps
+none of its own, is a tuple the memo already holds, so few are built.
 """
 
 import gc
@@ -52,7 +54,11 @@ def classify_case(v: VTuple) -> str | None:
     == 1 mod 3 in the first three components number nonzero mod 3, else case 2
     when the parts == 2 mod 3 do, else None."""
     c = v.components
-    return _step(c[0], c[1], c[2])[0]
+    s0, s1, s2 = _residues(c[0]), _residues(c[1]), _residues(c[2])
+    for case, r in ((CASE1, 0), (CASE2, 2)):
+        if (len(s0[r]) + len(s1[r]) + len(s2[r])) % 3:
+            return case
+    return None
 
 
 def o_hat(v: VTuple) -> VTuple:
@@ -60,31 +66,34 @@ def o_hat(v: VTuple) -> VTuple:
 
     With r the residue `classify_case` picks, new component i is its own parts
     not == r mod 3 together with the parts == r mod 3 of component (i+2) mod 3,
-    sorted decreasing; components 4.. are untouched.  The counts of each
+    merged decreasing; components 4.. are untouched.  The counts of each
     residue over the first three components do not change, so neither does
     the case, and three steps return to v.
     """
-    if classify_case(v) is None:
+    case = classify_case(v)
+    if case is None:
         raise OrbitError(f"orbit operator undefined for {v.components}")
+    r = 0 if case == CASE1 else 2
     c = v.components
-    return VTuple(_step(c[0], c[1], c[2])[1] + c[3:])
+    s0, s1, s2 = _residues(c[0]), _residues(c[1]), _residues(c[2])
+    shifted = _merge(s0[r + 1], s2[r]), _merge(s1[r + 1], s0[r]), _merge(s2[r + 1], s1[r])
+    return VTuple(shifted + c[3:])
 
 
 @lru_cache(maxsize=bijections.KERNEL_CACHE_SIZE)
-def _step(c0: Partition, c1: Partition, c2: Partition) -> tuple:
-    """(case, shifted triple) of one step on the first three components, or
-    (None, None).  The components come as separate arguments, so an entry
-    keeps one key tuple and no slice of the V-tuple."""
-    for case, r in ((CASE1, 1), (CASE2, 2)):
-        if sum(part % 3 == r for c in (c0, c1, c2) for part in c) % 3:
-            return case, (_shift_into(c0, c2, r), _shift_into(c1, c0, r), _shift_into(c2, c1, r))
-    return None, None
+def _residues(p: Partition) -> tuple[Partition, ...]:
+    """p's parts == 1 mod 3, p without them, p's parts == 2 mod 3, p without
+    them: each filtered from p in order, so still decreasing."""
+    split = []
+    for r in (1, 2):
+        moved = tuple(x for x in p if x % 3 == r)
+        split += moved, (tuple(x for x in p if x % 3 != r) if moved else p)
+    return tuple(split)
 
 
-def _shift_into(own: Partition, moved: Partition, r: int) -> Partition:
-    """The parts of `own` not == r mod 3 with the parts of `moved` == r mod 3."""
-    return tuple(sorted([p for p in own if p % 3 != r] + [p for p in moved if p % 3 == r],
-                        reverse=True))
+def _merge(a: Partition, b: Partition) -> Partition:
+    """Two partitions merged decreasing; with one side empty, the other itself."""
+    return tuple(sorted(a + b, reverse=True)) if a and b else a or b
 
 
 def rotate_o(v: VTuple) -> VTuple:

@@ -495,6 +495,15 @@ def test_orbits_above_the_ceiling_exits_2_before_the_tail_check(capsys, monkeypa
     assert out == "" and err == "error: weight 5000 exceeds enumeration ceiling 40\n"
 
 
+@pytest.mark.parametrize("family", ["p30_1_0", "p03_1", "p3_+1", "p3_ 1"])
+def test_non_canonical_family_id_exits_2(capsys, family):
+    # int("1_0") == 10: read loosely, p30_1_0 would count parts == 10 mod 30
+    code, out, err = run(capsys, "series", "--family", family, "--terms", "12")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad family id {family!r}\n"
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -327,6 +327,11 @@ def test_family_by_name():
     assert family_by_name("d3_0") == DISTINCT_MULTIPLES_OF_3
     with pytest.raises(UnknownFamilyError):
         family_by_name("nope")
+    # a number is read only as `str` writes it, so an id names one family
+    assert family_by_name("p3_2,1") == family_by_name("p3_1,2")
+    for name in ("p30_1_0", "p03_1", "p3_+1", "p3_ 1", "p3_01", "d3_-0", "p1_0,"):
+        with pytest.raises(UnknownFamilyError, match="bad family id"):
+            family_by_name(name)
 
 
 def test_repeated_residues_rejected():

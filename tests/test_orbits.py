@@ -202,23 +202,44 @@ def test_o_hat_matches_reference_at_large_weights(triple, tail):
 
 
 def test_o_hat_refuses_case_none_on_every_call():
-    # the memoized step of a triple with no case is (None, None): every call
-    # that reads it is refused, the first and the cached ones alike
+    # a triple with no case is refused on every call, the first and those
+    # whose partitions the memo already holds alike
     for text in ("(0;0;0;0)", "(2;2;2;0)", "(6;0;0;1)"):
         v = _tuple(A_IMAGE, text)
         for _ in range(3):
             with pytest.raises(OrbitError, match="orbit operator undefined"):
                 o_hat(v)
-    step = orbits_module._step
-    assert step.cache_info().maxsize == KERNEL_CACHE_SIZE
-    # one entry serves both facts: the shift made, the case is then a hit
+    residues = orbits_module._residues
+    assert residues.cache_info().maxsize == KERNEL_CACHE_SIZE
+    # the entries the shift reads serve the case too: classify_case only hits
     v = _tuple(A_IMAGE, "(4;0;0;1)")
-    step.cache_clear()
+    residues.cache_clear()
     assert o_hat(v) == _tuple(A_IMAGE, "(0;4;0;1)")
-    hits = step.cache_info().hits
+    hits = residues.cache_info().hits
     assert classify_case(v) == CASE1
-    assert step.cache_info()[:2] == (hits + 1, 1)  # hits, misses
-    assert step.cache_info().currsize == 1
+    assert residues.cache_info()[:2] == (hits + 3, 2)  # hits, misses: (4,) and ()
+    assert residues.cache_info().currsize == 2
+
+
+def test_the_operator_memo_is_keyed_by_partition():
+    # one entry per distinct partition among the first three components of
+    # the tuples the operator is given, far fewer than the triples they form
+    moved = [v for image in (PD_IMAGE, A_IMAGE, POD2_IMAGE) for n in range(18)
+             for v in enumerate_family(image, n) if classify_case(v) is not None]
+    residues = orbits_module._residues
+    residues.cache_clear()
+    given, triples = set(), set()
+    for v in moved:
+        for _ in range(2):
+            given.update(v.components[:3])
+            triples.add(v.components[:3])
+            v = o_hat(v)
+    assert residues.cache_info().currsize == len(given) < len(triples) // 10
+    # a component that gains and loses no part is the very tuple the memo
+    # first met it as
+    v = _tuple(A_IMAGE, "(4;0;6;1)")
+    residues.cache_clear()
+    assert o_hat(v).components[2] is v.components[2]
 
 
 def test_rotate_o():
