@@ -637,18 +637,18 @@ NAMED_FAMILIES: dict[str, Family] = {
 
 
 def family_by_name(name: str) -> Family:
-    """Resolve a CLI family id: a named family, or p<t>_<r,...> / d<t>_<r,...>."""
-    key = name.strip().lower()
-    if key in NAMED_FAMILIES:
-        return NAMED_FAMILIES[key]
-    if key and key[0] in ("p", "d") and "_" in key:
-        head, _, tail = key.partition("_")
+    """Resolve a CLI family id, case- and space-exact: a named family, or
+    p<t>_<r,...> / d<t>_<r,...>."""
+    if name in NAMED_FAMILIES:
+        return NAMED_FAMILIES[name]
+    if name and name[0] in ("p", "d") and "_" in name:
+        head, _, tail = name.partition("_")
         try:
             t, *residues = map(int, (head[1:], *tail.split(",")))
-            if key != f"{key[0]}{t}_{','.join(map(str, residues))}":  # numbers as `str` writes them
+            if name != f"{name[0]}{t}_{','.join(map(str, residues))}":  # numbers as `str` writes them
                 raise ValueError(f"non-canonical number in {name!r}")
             residues = tuple(sorted(residues))
-            tag = "mod-parts" if key[0] == "p" else "mod-distinct"
+            tag = "mod-parts" if name[0] == "p" else "mod-distinct"
             return Family(tag, t, residues)
         except (ValueError, UnknownFamilyError) as e:
             raise UnknownFamilyError(f"bad family id {name!r}") from e

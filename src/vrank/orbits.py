@@ -6,6 +6,8 @@ first three components and cyclically shifts the parts inside it; applied
 three times it is the identity, and the three ranks along an orbit hit all
 residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
+Orbit records hold elements, not images (three `VTuple`s per orbit, read only
+by the tables): the table writers derive tuples and ranks through `forward`.
 The operator reads and moves only the first three components, and its one
 memo, `_residues`, is keyed by a single partition: far fewer partitions than
 triples of them occur, and a shifted component that gains no part, or keeps
@@ -127,9 +129,11 @@ def family_bijection(f: Family) -> tuple[Callable, Callable, Family]:
 
 
 class Orbit(Record):
-    __slots__ = ("members",)  # (element, image tuple, rank), sorted by rank mod 3
+    # slot k: the element whose image has rank == k mod 3; no image is kept,
+    # since only the table writers read one, and they derive it by `forward`
+    __slots__ = ("members",)
 
-    def __init__(self, members: tuple[tuple[Any, VTuple, int], ...]):
+    def __init__(self, members: tuple[Any, ...]):
         object.__setattr__(self, "members", members)
 
 
@@ -143,6 +147,7 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     the pause, so cyclic garbage the caller has just left is not held through
     it.  The caller's collector state is restored on every exit, an error
     included; a collector the caller had disabled is neither run nor enabled.
+    An orbit keeps its elements; only the tables read images, via `forward`.
     """
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")
@@ -180,11 +185,10 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
                 raise OrbitError(f"orbit of {format_element(f, x)} at n={n} is degenerate")
             seen.add(y1)
             seen.add(y2)
-            r0, r1, r2 = v_rank(v0), v_rank(v1), v_rank(v2)
             members = [None, None, None]  # slot k holds the member of rank == k mod 3
-            members[r0 % 3] = (y0, v0, r0)
-            members[r1 % 3] = (y1, v1, r1)
-            members[r2 % 3] = (y2, v2, r2)
+            members[v_rank(v0) % 3] = y0
+            members[v_rank(v1) % 3] = y1
+            members[v_rank(v2) % 3] = y2
             if None in members:
                 raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
             orbits.append(Orbit(tuple(members)))
@@ -213,11 +217,12 @@ def _witness(f: Family, y: Any) -> str:
 
 def _rows(f: Family, orbits: list[Orbit]) -> Iterator[tuple[str, str, int, int]]:
     """(element text, tuple text, rank, orbit index from 1) for every member,
-    orbit by orbit."""
-    _, _, image = family_bijection(f)
+    orbit by orbit; each tuple is forward(x) and its rank v_rank(forward(x))."""
+    forward, _, image = family_bijection(f)
     for idx, orbit in enumerate(orbits, start=1):
-        for x, v, rank in orbit.members:
-            yield format_element(f, x), format_element(image, v), rank, idx
+        for x in orbit.members:
+            v = forward(x)
+            yield format_element(f, x), format_element(image, v), v_rank(v), idx
 
 
 def orbits_to_json(f: Family, name: str, n: int, orbits: list[Orbit]) -> dict:

@@ -92,16 +92,18 @@ def test_criterion_5_round_trip_suite():
 def test_criterion_6_orbit_theorem_suite():
     ok = True
     for name, (family, image) in FAMILIES.items():
+        forward, _, _ = orbits.family_bijection(family)
         for n in range(2, 21, 3):
             decomposition = orbits.build_orbits(family, n)
-            members = [x for o in decomposition for x, _, _ in o.members]
+            members = [x for o in decomposition for x in o.members]
             total = count_family(family, n)
             ok &= len(members) == len(set(members)) == total
             ok &= total % 3 == 0
             for o in decomposition:
                 ok &= len(o.members) == 3
-                ok &= sorted(r % 3 for _, _, r in o.members) == [0, 1, 2]
-                for _, v, _ in o.members:
+                images = [forward(x) for x in o.members]
+                ok &= [orbits.v_rank(v) % 3 for v in images] == [0, 1, 2]
+                for v in images:
                     w = orbits.o_hat(orbits.o_hat(orbits.o_hat(v)))
                     ok &= w == v
     report("criterion 6: orbit theorem for n == 2 mod 3, n <= 20", ok)

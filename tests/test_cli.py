@@ -504,6 +504,24 @@ def test_non_canonical_family_id_exits_2(capsys, family):
     assert err == f"error: bad family id {family!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--family", "PD", "--terms", "5"),
+        ("enumerate", "--family", "PD", "--n", "2"),
+        ("enumerate", "--family", " pd ", "--n", "2"),
+        ("series", "--family", " P3_1 ", "--terms", "5"),
+    ],
+    ids=["series-PD", "enumerate-PD", "enumerate-spaced-pd", "series-spaced-P3_1"],
+)
+def test_family_id_is_case_and_space_exact(capsys, argv):
+    # as verify's --family choices are: PD is not pd
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown family {argv[2]!r}\n"
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -327,6 +327,10 @@ def test_family_by_name():
     assert family_by_name("d3_0") == DISTINCT_MULTIPLES_OF_3
     with pytest.raises(UnknownFamilyError):
         family_by_name("nope")
+    # ids are case- and space-exact, like element texts
+    for name in ("PD", " pd ", "Pd", " P3_1 ", "p3_1 ", "P3_1"):
+        with pytest.raises(UnknownFamilyError):
+            family_by_name(name)
     # a number is read only as `str` writes it, so an id names one family
     assert family_by_name("p3_2,1") == family_by_name("p3_1,2")
     for name in ("p30_1_0", "p03_1", "p3_+1", "p3_ 1", "p3_01", "d3_-0", "p1_0,"):

@@ -27,7 +27,7 @@ from vrank.partition import InvalidPartitionError
 
 E = ((3, 2, 1), (1, 1, 1))
 TRIPLE = ((2,), (), OddStaircase(1))
-MEMBERS = ((DesignatedPartition(*E), VTuple(TRIPLE), 1),)
+MEMBERS = (DesignatedPartition(*E), DesignatedPartition((2,), ()), DesignatedPartition((), (1, 1)))
 
 # (value, the same value built by keyword)
 VALUES = {
