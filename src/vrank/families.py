@@ -18,9 +18,10 @@ choice is (red, blue) and an overpartition's (parts, overlined): the three
 share one pair builder.  `count_family` sweeps one table per family
 with the number of choices and writes nothing, in place and in plain loops
 (under CPython <= 3.11 a comprehension is a call per cell); a weight slice
-walks the partitions of n, generated as their runs (d, m), so no run is
-recounted, and joins each element's text from its choices' texts, so none is
-formatted only to be sorted; `format_element` joins the texts of an element's
+walks the partitions of n as it generates them, run (d, m) by run, keeps none,
+and cuts each branch at a run with no choice, so no run is recounted; it joins
+each element's text from its choices' texts, so none is formatted only to be
+sorted; `format_element` joins the texts of an element's
 runs; `parse_element` accepts a run only as the text of one of its choices, so
 each element has one text; and `is_member` requires each run's choice to be in
 the table.  A vector's counts convolve its components' tables, and a staircase
@@ -31,7 +32,9 @@ sorted by text.  The slices of vector *components* are memoized per (family,
 weight) in `_component_slice`, so a vector slice is the product of cached
 pools over the weight splits whose pools are all nonempty, and its text is
 joined from the cached component texts.  Top-level slices are not cached:
-`enumerate_family` builds each one afresh and returns a new list.
+`enumerate_family` builds each one afresh and returns a new list.  No cache
+of partitions is kept: one was hit only by a second family sliced at the same
+weight in one process, never within a single-family CLI call.
 """
 
 import itertools
@@ -565,22 +568,16 @@ def _text_slice(f: Family, n: int) -> Slice:
         # of the run choices, which are made once per run (d, m) of the slice.
         tag = f.tag
         elements = _RUN_ELEMENTS[tag][1]
-        options = {}  # (d, m) -> (choices, their texts)
+        table = {  # d -> (m*d, (choices, their texts)) for each m allowed, m rising
+            d: [(m * d, (choices, [_run_text(tag, d, m, c) for c in choices]))
+                for m in range(1, n // d + 1) if (choices := _run_options(f, d, m))]
+            for d in range(1, n + 1)}
         pairs = []
-        for p in _ordinary_partitions(n):
-            per_run = []
-            for run in p:
-                if run not in options:
-                    choices = _run_options(f, *run)
-                    options[run] = choices, [_run_text(tag, *run, c) for c in choices]
-                per_run.append(options[run])
-                if not options[run][0]:
-                    break  # a run with no choice: p gives no element
-            else:
-                pairs += zip(
-                    map("+".join, itertools.product(*(texts for _, texts in per_run))),
-                    elements([choices for choices, _ in per_run]),
-                )
+        for per_run in _partitions(table, n, n):
+            pairs += zip(
+                map("+".join, itertools.product(*(texts for _, texts in per_run))),
+                elements([choices for choices, _ in per_run]),
+            )
     pairs.sort(key=itemgetter(0))
     # "" is the empty run-family element, written 0
     return tuple(t or "0" for t, _ in pairs), tuple(x for _, x in pairs)
@@ -604,21 +601,18 @@ def _pool_splits(components: tuple[Family, ...], n: int) -> Iterator[tuple[Slice
                 yield (pool,) + rest
 
 
-@lru_cache(maxsize=None)
-def _ordinary_partitions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(_partitions(n, n))
-
-
-def _partitions(n: int, max_part: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The partitions of n with no part above max_part, as runs ((d, m), ...)."""
+def _partitions(table: dict, n: int, top: int) -> Iterator[tuple]:
+    """The partitions of n with no part above top, each as its runs' entries in
+    a slice's run table: a run with no choice, absent there, cuts its branch."""
     if n == 0:
         yield ()
         return
-    for d in range(min(n, max_part), 0, -1):
-        for m in range(n // d, 0, -1):
-            head = ((d, m),)  # one run pair, shared by every tail
-            for tail in _partitions(n - m * d, d - 1):
-                yield head + tail
+    for d in range(min(n, top), 0, -1):
+        for size, run in table[d]:
+            if size > n:
+                break
+            for tail in _partitions(table, n - size, d - 1):
+                yield (run,) + tail
 
 
 # --- CLI-facing catalog -----------------------------------------------------

@@ -7,7 +7,8 @@ three times it is the identity, and the three ranks along an orbit hit all
 residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
 Orbit records hold elements, not images (three `VTuple`s per orbit, read only
-by the tables): the table writers derive tuples and ranks through `forward`.
+by the tables): the table writers derive tuples and ranks through `forward`,
+and the pass lets each slice element go once walked.
 The operator reads and moves only the first three components, and its one
 memo, `_residues`, is keyed by a single partition: far fewer partitions than
 triples of them occur, and a shifted component that gains no part, or keeps
@@ -148,6 +149,8 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     it.  The caller's collector state is restored on every exit, an error
     included; a collector the caller had disabled is neither run nor enabled.
     An orbit keeps its elements; only the tables read images, via `forward`.
+    It pops its fresh slice list in text order, letting each element go once
+    walked, so it ends holding the records' members, not the slice as well.
     """
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")
@@ -162,9 +165,12 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
         elements = enumerate_family(f, n, ceiling=ceiling)
         if not tail_condition_holds(image, n % 3, n):
             raise OrbitError(f"tail weight condition fails for {f.tag} at residue {n % 3}")
+        size = len(elements)
+        elements.reverse()  # popped from the end, so walked in text order
         seen = set()  # later members of earlier orbits; an orbit's x is never met again
         orbits = []
-        for x in elements:  # already in canonical text order
+        while elements:
+            x = elements.pop()  # let go once walked: the records keep their own members
             if x in seen:
                 continue
             try:
@@ -192,8 +198,8 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
             if None in members:
                 raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
             orbits.append(Orbit(tuple(members)))
-        if 3 * len(orbits) != len(elements):
-            raise OrbitError(f"{len(orbits)} orbits cover {len(elements)} elements at n={n}")
+        if 3 * len(orbits) != size:
+            raise OrbitError(f"{len(orbits)} orbits cover {size} elements at n={n}")
         return orbits
     finally:
         if collecting:

@@ -34,7 +34,6 @@ def _start_cold():
     from vrank import families
 
     families._component_slice.cache_clear()
-    families._ordinary_partitions.cache_clear()
     families._COUNTS.clear()
 
 

@@ -388,10 +388,10 @@ def test_counts_match_the_series_to_60(name):
 
 
 @st.composite
-def residue_families(draw):
+def residue_families(draw, min_residues=0, max_residues=None):
     t = draw(st.integers(1, 12))
-    residues = tuple(sorted(draw(st.sets(st.integers(0, t - 1)))))
-    return Family(draw(st.sampled_from(["mod-parts", "mod-distinct"])), t, residues)
+    residues = draw(st.sets(st.integers(0, t - 1), min_size=min_residues, max_size=max_residues))
+    return Family(draw(st.sampled_from(["mod-parts", "mod-distinct"])), t, tuple(sorted(residues)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,6 +399,16 @@ def residue_families(draw):
     lambda pair: Family("vector", components=pair)))
 def test_random_residue_counts_match_the_series_to_80(f):
     assert [count_family(f, n, ceiling=80) for n in range(81)] == family_series(f, 80).coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(residue_families(1, 3) | st.just(POD), st.integers(0, 18))
+def test_pruned_slices_list_the_reference_elements(f, n):
+    # a slice walks only through runs its family allows a choice for; what it
+    # cuts away, the reference generator, which walks every partition, drops
+    elems = enumerate_family(f, n)
+    assert elems == sorted(generate(f, n), key=lambda x: format_element(f, x))
+    assert len(elems) == count_family(f, n)
 
 
 @pytest.mark.parametrize("f", [POD2, OP2, PD_IMAGE], ids=["pod2", "op2", "pd-image"])
@@ -415,7 +425,6 @@ def test_enumeration_leaves_runs_alone(monkeypatch):
     # slices walk partitions generated as their runs, so the runs memo,
     # which the bijections share, is neither called nor filled
     families._component_slice.cache_clear()
-    families._ordinary_partitions.cache_clear()
     monkeypatch.setattr(families, "_COUNTS", {})
     runs.cache_clear()
     for f, n in ((PD, 20), (A, 14), (ORDINARY, 30)):

@@ -279,6 +279,23 @@ def test_build_orbits_pd_2():
     assert elems == {"2'", "1'+1", "1+1'"}
 
 
+@pytest.mark.parametrize("f", [PD, A, POD2], ids=["pd", "a", "pod2"])
+def test_build_orbits_uses_up_its_slice(f, monkeypatch):
+    # the pass pops each element off the fresh slice list it was given, so
+    # the list is empty at the end while the orbits still cover the slice
+    given = []
+
+    def keep(*args, **kwargs):
+        given.append(enumerate_family(*args, **kwargs))
+        return given[-1]
+
+    monkeypatch.setattr(orbits_module, "enumerate_family", keep)
+    for n in (11, 14):
+        orbits = build_orbits(f, n)
+        assert len(given) == 1 and given.pop() == []
+        assert 3 * len(orbits) == count_family(f, n)
+
+
 def test_build_orbits_does_two_operator_steps_per_orbit(monkeypatch):
     calls = []
 
