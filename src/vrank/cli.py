@@ -14,7 +14,6 @@ from .families import (
     NAMED_FAMILIES,
     ElementParseError,
     EnumerationLimitError,
-    Family,
     UnknownFamilyError,
     count_family,
     enumerate_family,
@@ -32,14 +31,7 @@ VERIFY_CEILING = 24
 
 
 class CliError(Exception):
-    """Usage-level error: bad family, bad element text, ceiling exceeded."""
-
-
-def _resolve_family(name: str) -> Family:
-    try:
-        return family_by_name(name)
-    except UnknownFamilyError as e:
-        raise CliError(str(e)) from e
+    """Usage-level error: a number out of range, or a method the family does not have."""
 
 
 def _nonnegative(option: str, value: int) -> int:
@@ -52,7 +44,7 @@ def _nonnegative(option: str, value: int) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    f = _resolve_family(args.family)
+    f = family_by_name(args.family)
     n, ceiling = _nonnegative("--n", args.n), _nonnegative("--ceiling", args.ceiling)
     elems = enumerate_family(f, n, ceiling=ceiling)
     texts = [format_element(f, x) for x in elems]
@@ -142,7 +134,7 @@ def _report_range(args, method: str, limit: int) -> None:
 
 
 def cmd_series(args) -> int:
-    f = _resolve_family(args.family)
+    f = family_by_name(args.family)
     s = series.family_series(f, _nonnegative("--terms", args.terms))
     for n, c in enumerate(s.coeffs):
         print(f"{n},{c}")

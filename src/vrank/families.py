@@ -21,11 +21,13 @@ with the number of choices and writes nothing, in place and in plain loops
 walks the partitions of n as it generates them, run (d, m) by run, keeps none,
 and cuts each branch at a run with no choice, so no run is recounted; it joins
 each element's text from its choices' texts, so none is formatted only to be
-sorted; `format_element` joins the texts of an element's
-runs; `parse_element` accepts a run only as the text of one of its choices, so
-each element has one text; and `is_member` requires each run's choice to be in
-the table.  A vector's counts convolve its components' tables, and a staircase
-family is counted from its generator.
+sorted; and `format_element` joins the texts of an element's runs.  The
+writer's text decides reading and membership for every family: `parse_element`
+reads a text only as the writer's text of an element (run by run from the
+choices' texts, or for a staircase from `_generate`'s elements of its weight),
+so each element has one text, and `is_member` holds exactly for a value whose
+text reads back as itself.  A vector's counts convolve its components'
+tables, and a staircase family is counted from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
 sorted by text.  The slices of vector *components* are memoized per (family,
@@ -50,8 +52,6 @@ from .partition import (
     Partition,
     InvalidPartitionError,
     Record,
-    check_partition,
-    is_staircase,
     runs,
     staircase,
 )
@@ -206,6 +206,8 @@ class OddStaircase(Record):
     __slots__ = ("height", "one_overlined")
 
     def __init__(self, height: int, one_overlined: bool = False):
+        if not isinstance(height, int) or height < 0:
+            raise InvalidPartitionError(f"odd staircase height must be an int >= 0, got {height!r}")
         if height == 0 and one_overlined:
             raise InvalidPartitionError("empty odd staircase cannot be overlined")
         _store(self, "height", height)
@@ -260,7 +262,7 @@ def format_element(f: Family, x: Any) -> str:
     `+`, or `0` when it has none.  Total on any value of the family's element
     type, member or not, so an error message can always show the value; a
     value of another type, or a vector value with the wrong number of
-    components, raises ShapeMismatchError, as in `is_member`."""
+    components, raises ShapeMismatchError."""
     tag = f.tag
     _require_type(f, x)
     if tag in _RUN_ELEMENTS:
@@ -272,11 +274,17 @@ def format_element(f: Family, x: Any) -> str:
         if x.one_overlined:
             toks[-1] += "~"
     else:  # a vector
-        return "(" + ";".join(format_element(g, c) for g, c in _paired(f, x)) + ")"
+        k = len(x.components)
+        if k != len(f.components):
+            raise ShapeMismatchError(f"expected {len(f.components)} components, got {k}")
+        return "(" + ";".join(map(format_element, f.components, x.components)) + ")"
     return "+".join(toks) or "0"
 
 
 def parse_element(f: Family, s: str) -> Any:
+    """The element whose text `format_element` writes as s, and no other text:
+    each run must be the writer's text of one of its choices, and a staircase
+    text the writer's text of an element of its weight from `_generate`."""
     s = s.strip()
     tag = f.tag
     if tag == "vector":
@@ -291,34 +299,27 @@ def parse_element(f: Family, s: str) -> Any:
             )
         return VTuple(tuple(parse_element(g, t) for g, t in zip(f.components, texts)))
     toks = [] if s == "0" else s.split("+")
-    if tag in _RUN_ELEMENTS:
-        # A part's marks follow its digits.  Each run's tokens must be the
-        # writer's text of one of its choices, so an element has one text.
-        parts = tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks)
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise InvalidPartitionError(f"parts not weakly decreasing in {s!r}")
-        chosen, start = [], 0
-        for d, m in runs(parts):
-            text = "+".join(toks[start:start + m])
-            start += m
-            by_text = {_run_text(tag, d, m, choice): choice for choice in _run_options(f, d, m)}
-            if text not in by_text:
-                listed = f": {', '.join(by_text)}" if 0 < len(by_text) <= 4 else ""
-                raise ElementParseError(f"{text!r} is not a run of {tag}{listed}")
-            chosen.append((by_text[text],))
-        return next(_RUN_ELEMENTS[tag][1](chosen))
-    if tag == "staircase":
-        x = check_partition(tuple(_parse_int(tok, s) for tok in toks))
-    elif tag == "odd-staircase":
-        over = bool(toks) and toks[-1].endswith("~")
-        if over:
-            toks[-1] = toks[-1][:-1]
-        x = OddStaircase(len(toks), over)
-        if x.parts != tuple(_parse_int(tok, s) for tok in toks):
-            raise ElementParseError(f"not an odd staircase: {s!r}")
-    else:
-        raise UnknownFamilyError(f.tag)
-    return require_member(f, x)
+    parts = tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks)  # marks follow the digits
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise InvalidPartitionError(f"parts not weakly decreasing in {s!r}")
+    if tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
+        return _written(s, {format_element(f, y): y for y in _generate(f, sum(parts))},
+                        f"an element of {tag}")
+    chosen, start = [], 0
+    for d, m in runs(parts):
+        text = "+".join(toks[start:start + m])
+        start += m
+        by_text = {_run_text(tag, d, m, choice): choice for choice in _run_options(f, d, m)}
+        chosen.append((_written(text, by_text, f"a run of {tag}"),))
+    return next(_RUN_ELEMENTS[tag][1](chosen))
+
+
+def _written(text: str, by_text: dict, what: str) -> Any:
+    """The value of by_text that the writer writes as text."""
+    if text not in by_text:
+        listed = f": {', '.join(by_text)}" if 0 < len(by_text) <= 4 else ""
+        raise ElementParseError(f"{text!r} is not {what}{listed}")
+    return by_text[text]
 
 
 def _parse_int(tok: str, ctx: str) -> int:
@@ -337,32 +338,16 @@ def _parse_int(tok: str, ctx: str) -> int:
 # --- membership -------------------------------------------------------------
 
 def is_member(f: Family, x: Any) -> bool:
-    """True iff x satisfies the family's constraints: a value whose parts are
-    out of order or not positive is not a member.
+    """True iff x reads back from its own text as itself, compared by repr,
+    type for type: 3.0 == 3 and True == 1, but no element has such a part.
 
     Raises ShapeMismatchError when x is not even the right kind of value.
     """
-    tag = f.tag
-    _require_type(f, x)
-    if tag in _RUN_ELEMENTS:
-        choices = _runs_of(f, x)
-        parts = [d for d, _, _ in choices] + [0]  # one run per part: positive, decreasing
-        return (
-            all(a > b for a, b in zip(parts, parts[1:]))
-            and all(choice in _run_options(f, d, m) for d, m, choice in choices)
-            and next(_RUN_ELEMENTS[tag][1]([(choice,) for _, _, choice in choices])) == x
-        )
-    if tag == "staircase":
-        return is_staircase(x)
-    if tag == "odd-staircase":
-        return x.height >= 0
-    return all(is_member(g, c) for g, c in _paired(f, x))  # a vector
-
-
-def require_member(f: Family, x: Any) -> Any:
-    if not is_member(f, x):
-        raise ElementParseError(f"{format_element(f, x)} is not in family {f.tag}")
-    return x
+    text = format_element(f, x)
+    try:
+        return repr(parse_element(f, text)) == repr(x)
+    except (ElementParseError, InvalidPartitionError):
+        return False
 
 
 def _require_type(f: Family, x: Any):
@@ -372,13 +357,6 @@ def _require_type(f: Family, x: Any):
     kind = _ELEMENT_TYPES[f.tag]
     if not isinstance(x, kind):
         raise ShapeMismatchError(f"family {f.tag} expects {kind.__name__}, got {type(x).__name__}")
-
-
-def _paired(f: Family, x: VTuple) -> Iterator[tuple[Family, Any]]:
-    """(component family, component) for each component of a vector value."""
-    if len(x.components) != len(f.components):
-        raise ShapeMismatchError(f"expected {len(f.components)} components, got {len(x.components)}")
-    return zip(f.components, x.components)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -469,10 +447,12 @@ def _run_options(f: Family, d: int, m: int) -> tuple:
     return ((d,) * m,) if allowed else ()  # the run's parts, if allowed
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
 def _run_text(tag: str, d: int, m: int, choice) -> str:
     """The tokens of m copies of the part d under one choice of `_run_options`:
-    the one writer of a run's text, for slices and `format_element` alike."""
+    the one writer of a run's text, for slices and `format_element` alike.
+    Typed, as 1 == 1.0 == True: the text of a part 1.0 or True written by
+    `format_element` must not be handed back for the part 1."""
     if tag == "designated":  # the i-th copy primed: i is the count in beta, or 1
         i = len(choice[1]) or 1
         return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))
@@ -486,7 +466,9 @@ def _run_text(tag: str, d: int, m: int, choice) -> str:
 
 def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
     """(d, m, choice) for each run of m copies of a part d of x, magnitudes as
-    x holds them: the choice x makes on that run, read back from x."""
+    x holds them: the choice x makes on that run, read back from x.  The runs
+    are read past the memo of `runs`, which x, any value of the element type,
+    would fill with a 1.0 or True to be handed back for the int twin."""
     tag = f.tag
     if tag in ("designated", "two-color"):  # (alpha, beta) or (red, blue)
         first, second = map(Counter, x._fields())
@@ -496,9 +478,10 @@ def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
         )
     if tag == "overpartition":
         return tuple(
-            (d, m, ((d,) * m, (d,) if d in x.overlined else ())) for d, m in runs(x.parts)
+            (d, m, ((d,) * m, (d,) if d in x.overlined else ()))
+            for d, m in runs.__wrapped__(x.parts)
         )
-    return tuple((d, m, (d,) * m) for d, m in runs(x))
+    return tuple((d, m, (d,) * m) for d, m in runs.__wrapped__(x))
 
 
 def _plain_elements(choices: list[tuple]) -> Iterator[Partition]:

@@ -85,16 +85,6 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return out
 
 
-def check_partition(p: Partition) -> Partition:
-    """Validate that p is already in canonical form."""
-    for i in range(len(p) - 1):
-        if p[i] < p[i + 1]:
-            raise InvalidPartitionError(f"parts not weakly decreasing: {p}")
-    if p and p[-1] < 1:
-        raise InvalidPartitionError(f"parts must be positive: {p}")
-    return p
-
-
 def weight(p: Partition) -> int:
     return sum(p)
 

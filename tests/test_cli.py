@@ -419,6 +419,22 @@ def test_usage_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "family,text,error",
+    [
+        ("a", "(0;0;0;1+2)", "parts not weakly decreasing in '1+2'"),
+        # an overline is a mark the odd staircase uses, so not a bad token
+        ("pod2", "(0;0;0;1~+3)", "parts not weakly decreasing in '1~+3'"),
+        ("pod2", "(0;0;0;3~+1)", "'3~+1' is not an element of odd-staircase: 3+1, 3+1~"),
+    ],
+)
+def test_staircase_component_errors_quote_the_text(capsys, family, text, error):
+    code, out, err = run(capsys, "bijection", "--family", family, "--inverse", text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("series", "--family", "pd", "--terms", "-3"),

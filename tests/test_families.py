@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -89,6 +90,32 @@ def test_membership_refuses_parts_not_positive():
     assert not is_member(A, TwoColorPartition((0,), ()))
 
 
+def test_membership_refuses_parts_not_ints():
+    # 3.0 == 3 and True == 1, but no element text writes a float or bool
+    # part; the int twins go first, so the memos keyed by them are filled
+    assert is_member(ORDINARY, (3, 1)) and is_member(PD, DesignatedPartition((2,), (2, 2)))
+    assert is_member(ORDINARY, (3.0, 1.0)) is False
+    assert is_member(ORDINARY, (True,)) is False
+    assert is_member(STAIRCASE, (2.0, 1.0)) is False
+    assert is_member(PD, DesignatedPartition((2.0,), ())) is False
+    assert is_member(PD, DesignatedPartition((2,), (2.0, 2.0))) is False
+    assert is_member(OVERPARTITION, Overpartition((True,), (True,))) is False
+    # and writing those leaves the texts of the int twins as they were
+    assert format_element(ORDINARY, (3, 1)) == "3+1" and parse_element(ORDINARY, "1") == (1,)
+    assert format_element(OVERPARTITION, Overpartition((1,), (1,))) == "1~"
+    assert [format_element(ORDINARY, x) for x in enumerate_family(ORDINARY, 2)] == ["1+1", "2"]
+
+
+def test_odd_staircase_height_is_an_int_not_below_0():
+    # OddStaircase(-1, True) would write no part to overline, OddStaircase(-2),
+    # of weight 4, would be written 0, and no text has a part 3.0
+    for height, over in [(-1, True), (-1, False), (-2, False), (2.0, False)]:
+        with pytest.raises(InvalidPartitionError, match="^odd staircase height must be an int >= 0"):
+            OddStaircase(height, over)
+    with pytest.raises(InvalidPartitionError, match="^empty odd staircase cannot be overlined$"):
+        OddStaircase(0, True)
+
+
 def test_format_refuses_a_vector_of_the_wrong_length():
     # written shorter, a short tuple would give a text that parse refuses
     for f, x in [(A_IMAGE, VTuple(((2,), (4,)))), (POD2, VTuple(((3, 1),)))]:
@@ -129,6 +156,55 @@ def test_format_and_membership_refuse_a_value_of_another_type():
     for check in (format_element, is_member):
         with pytest.raises(UnknownFamilyError):
             check(Family("nope"), (1,))
+
+
+# Small values of each element type, members or not: parts out of order,
+# zero, negative, float or bool, blue parts odd, overlined parts absent and
+# beta parts once only all occur.
+_part = st.one_of(st.integers(-1, 3), st.sampled_from([1.0, 2.0, 2.5]), st.just(True))
+_parts = st.tuples(st.lists(_part, max_size=3), st.booleans()).map(
+    lambda drawn: tuple(sorted(drawn[0], reverse=True) if drawn[1] else drawn[0])
+)
+
+
+def _values(f):
+    if f.tag == "vector":
+        return st.tuples(*map(_values, f.components)).map(VTuple)
+    if f.tag == "odd-staircase":  # OddStaircase(0, True) does not construct
+        return (
+            st.tuples(st.one_of(st.integers(0, 4), st.just(True)), st.sampled_from([False, True, 0, 1]))
+            .filter(lambda t: t[0] or not t[1])
+            .map(lambda t: OddStaircase(*t))
+        )
+    kind = families._ELEMENT_TYPES[f.tag]
+    if kind is tuple:  # with the staircases, so that STAIRCASE meets members
+        return _parts | st.integers(0, 4).map(lambda k: tuple(range(k, 0, -1)))
+    return st.builds(kind, _parts, _parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_reprs(f, n):
+    return frozenset(map(repr, generate(f, n)))
+
+
+def _reference_member(f, x):
+    """x is an element of f, type for type: by the reference generators, or
+    by the staircases' definitions (`generate` reuses `_generate` there)."""
+    if f.tag == "vector":
+        return all(_reference_member(g, c) for g, c in zip(f.components, x.components))
+    if f.tag == "staircase":  # (k, k-1, ..., 1) for some k >= 0
+        return repr(x) == repr(tuple(range(len(x), 0, -1)))
+    if f.tag == "odd-staircase":  # (2m-1, ..., 3, 1) for an int m >= 0, its 1 overlined or not
+        return type(x.height) is int and type(x.one_overlined) is bool
+    return repr(x) in _reference_reprs(f, int(element_weight(f, x)))
+
+
+@pytest.mark.parametrize("f", [*ONE_PER_TAG, EVEN_PARTS, DISTINCT_MULTIPLES_OF_3, POD2_IMAGE])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_membership_matches_the_reference(f, data):
+    x = data.draw(_values(f))
+    assert is_member(f, x) is _reference_member(f, x)
 
 
 def test_enumerate_a_2():
@@ -319,6 +395,18 @@ def test_parse_errors_name_the_run():
         parse_element(PD, "4+4+4+4+4")  # five choices are not listed
     with pytest.raises(InvalidPartitionError, match=r"^parts not weakly decreasing in '2b\+3r'$"):
         parse_element(A, "2b+3r")
+
+
+def test_staircase_parse_errors_quote_the_text():
+    with pytest.raises(InvalidPartitionError, match=r"^parts not weakly decreasing in '3\+1\+2'$"):
+        parse_element(STAIRCASE, "3+1+2")
+    with pytest.raises(InvalidPartitionError, match=r"^parts not weakly decreasing in '5\+1\+3'$"):
+        parse_element(ODD_STAIRCASE, "5+1+3")
+    # a text is listed with the writer's texts of its weight, if it has any
+    with pytest.raises(ValueError, match=r"^'5\+3~\+1' is not an element of odd-staircase: 5\+3\+1, 5\+3\+1~$"):
+        parse_element(ODD_STAIRCASE, "5+3~+1")
+    with pytest.raises(ValueError, match=r"^'2\+1\+1' is not an element of staircase$"):
+        parse_element(STAIRCASE, "2+1+1")
 
 
 def test_family_by_name():

@@ -6,7 +6,6 @@ from vrank.partition import (
     FrobeniusSymbol,
     InvalidFrobeniusError,
     InvalidPartitionError,
-    check_partition,
     conjugate,
     count_residue3,
     from_frobenius,
@@ -138,12 +137,6 @@ def test_runs_memo_matches_uncached(p):
     for _ in range(2):  # a miss, then a hit
         assert runs(p) == runs.__wrapped__(p) == _reference_runs(p)
     assert runs.cache_info().maxsize == KERNEL_CACHE_SIZE
-
-
-def test_check_partition_refuses_disorder_in_the_last_pair():
-    assert check_partition((3, 2, 1)) == (3, 2, 1)
-    with pytest.raises(InvalidPartitionError, match="weakly decreasing"):
-        check_partition((3, 1, 2))
 
 
 def test_make_partition_sorts():
