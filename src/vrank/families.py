@@ -303,8 +303,9 @@ def parse_element(f: Family, s: str) -> Any:
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise InvalidPartitionError(f"parts not weakly decreasing in {s!r}")
     if tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
-        return _written(s, {format_element(f, y): y for y in _generate(f, sum(parts))},
-                        f"an element of {tag}")
+        weight = sum(parts)  # at most L*L for an element of L parts; build none heavier
+        found = _generate(f, weight) if weight <= len(parts) ** 2 else ()
+        return _written(s, {format_element(f, y): y for y in found}, f"an element of {tag}")
     chosen, start = [], 0
     for d, m in runs(parts):
         text = "+".join(toks[start:start + m])

@@ -425,6 +425,11 @@ def test_usage_errors_exit_2(capsys, argv):
         # an overline is a mark the odd staircase uses, so not a bad token
         ("pod2", "(0;0;0;1~+3)", "parts not weakly decreasing in '1~+3'"),
         ("pod2", "(0;0;0;3~+1)", "'3~+1' is not an element of odd-staircase: 3+1, 3+1~"),
+        # the weights of staircase(10**9) and OddStaircase(10**9): refused
+        # from the text alone, without building either
+        ("a", "(0;0;0;500000000500000000)", "'500000000500000000' is not an element of staircase"),
+        ("pod2", "(0;0;0;1000000000000000000)",
+         "'1000000000000000000' is not an element of odd-staircase"),
     ],
 )
 def test_staircase_component_errors_quote_the_text(capsys, family, text, error):

@@ -407,6 +407,11 @@ def test_staircase_parse_errors_quote_the_text():
         parse_element(ODD_STAIRCASE, "5+3~+1")
     with pytest.raises(ValueError, match=r"^'2\+1\+1' is not an element of staircase$"):
         parse_element(STAIRCASE, "2+1+1")
+    # a text heavier than any element of its number of parts is refused
+    # before an element of its weight is built
+    for f, text in ((STAIRCASE, "500000000500000000"), (ODD_STAIRCASE, "1000000000000000000~")):
+        with pytest.raises(ValueError, match=rf"^'{text}' is not an element of {f.tag}$"):
+            parse_element(f, text)
 
 
 def test_family_by_name():
