@@ -10,6 +10,13 @@
 * wright / wright_inv: the modified Wright map between pairs of distinct-odd
   partitions and (even partition, odd staircase with optional overline).
 
+phi and wright, and their inverses, share one abacus of beta numbers:
+`_levels` writes a partition's beta set and `_partition_from_levels` reads
+one back.  phi sorts the beads onto two runners; the Wright map is the
+charged Maya diagram whose beads at positions >= 0 are the halves of mu1,
+whose gaps below 0 are the halves of mu2, and whose charge is the height
+of the staircase, negated when its 1 is overlined.
+
 The pipelines factor an element into independent components, so exhaustive
 slices feed phi, psi and wright (and their inverses) the same component many
 times.  Those six kernels are pure and return immutable values, so each keeps
@@ -26,18 +33,14 @@ from typing import NamedTuple
 from .families import DesignatedPartition, OddStaircase, TwoColorPartition, VTuple
 from .partition import (
     KERNEL_CACHE_SIZE,
-    FrobeniusSymbol,
     InvalidPartitionError,
     Partition,
     all_parts_even,
-    conjugate,
-    from_frobenius,
     halve,
     is_staircase,
     runs,
     scale2,
     staircase,
-    to_frobenius,
     union,
 )
 
@@ -59,16 +62,17 @@ class WrightDecomposition(NamedTuple):
 # charge d = beads0 - beads1: it is the staircase of height d - 1 when d > 0
 # and of height -d otherwise (James-Kerber, 2.7).
 
+def _levels(p: Partition, beads: int) -> list[int]:
+    """The beta set of p on `beads` beads (at least len(p)), decreasing."""
+    top = beads - 1
+    return [v + top - j for j, v in enumerate(p)] + list(range(beads - len(p) - 1, -1, -1))
+
+
 def _partition_from_levels(levels: list[int]) -> Partition:
-    """Partition whose beta set (for len(levels) beads) is `levels`."""
-    parts = [v - j for j, v in enumerate(sorted(levels))]  # increasing: zeros first
-    return tuple(parts[parts.count(0):][::-1])
-
-
-def _doubled_quotient(levels: list[int]) -> Partition:
-    """Twice the partition whose beta set is `levels`, given strictly decreasing."""
+    """Partition whose beta set (for len(levels) beads) is `levels`, given
+    strictly decreasing: the inverse of `_levels`."""
     top = len(levels) - 1
-    return tuple(2 * (v - top + j) for j, v in enumerate(levels) if v > top - j)
+    return tuple(v - top + j for j, v in enumerate(levels) if v > top - j)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -79,21 +83,14 @@ def phi(p: Partition) -> CoreQuotientTriple:
     positions) carries the first quotient, runner 1 the second.  The beta set
     is strictly decreasing, so each runner's levels come out decreasing.
     """
-    top = len(p) + len(p) % 2 - 1  # an even bead count, minus one
-    runner0, runner1 = [], []
-    for j, v in enumerate(p):
-        b = v + top - j
-        if b % 2:
-            runner1.append(b // 2)
-        else:
-            runner0.append(b // 2)
-    if len(p) % 2:
-        runner0.append(0)  # the one zero part padding to an even bead count
-    charge = len(runner0) - len(runner1)
+    runners = ([], [])
+    for b in _levels(p, len(p) + len(p) % 2):
+        runners[b % 2].append(b // 2)
+    charge = len(runners[0]) - len(runners[1])
     return CoreQuotientTriple(
         staircase(charge - 1 if charge > 0 else -charge),
-        _doubled_quotient(runner0),
-        _doubled_quotient(runner1),
+        scale2(_partition_from_levels(runners[0])),
+        scale2(_partition_from_levels(runners[1])),
     )
 
 
@@ -121,7 +118,7 @@ def phi_inv(t: CoreQuotientTriple) -> Partition:
         zeros = count - len(q)
         positions += range(runner, 2 * zeros, 2)
         positions += [e + 2 * j + runner for j, e in enumerate(reversed(q), zeros)]
-    return _partition_from_levels(positions)
+    return _partition_from_levels(sorted(positions, reverse=True))
 
 
 # --- designated summands ----------------------------------------------------
@@ -199,62 +196,45 @@ def lambda_a_inv(v: VTuple) -> TwoColorPartition:
 # --- modified Wright map ----------------------------------------------------
 
 def _odd_distinct_halves(mu: Partition) -> list[int]:
-    if any(v % 2 == 0 for v in mu) or len(set(mu)) != len(mu):
-        raise InvalidPartitionError(f"parts must be distinct and odd: {mu}")
-    return [(v - 1) // 2 for v in mu]
+    if any(v < 1 or v % 2 == 0 for v in mu) or any(a <= b for a, b in zip(mu, mu[1:])):
+        raise InvalidPartitionError(f"parts must be odd, positive and strictly decreasing: {mu}")
+    return [v // 2 for v in mu]
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def wright(mu1: Partition, mu2: Partition) -> WrightDecomposition:
     """Map a pair of distinct-odd partitions to (even partition, odd staircase).
 
-    With mu1 = (2a_i + 1) and mu2 = (2b_i + 1), a is the longer row (the
-    rows swap when mu1 is shorter) and m = len(a) - len(b): the Frobenius
-    symbol is the a-tail over the b's and the adjustment partition comes from
-    the a-head.  The swapped side conjugates, marking the staircase's 1 with
-    an overline.
+    With mu1 = (2a_i + 1) and mu2 = (2b_i + 1), the a are the beads at
+    positions >= 0 and the -1 - b the gaps below 0 of a Maya diagram of
+    charge m = len(a) - len(b).  Read on the beads from position -depth up,
+    the diagram is the beta set of gamma, and pi = 2 * gamma; the staircase
+    has height |m| and its 1 is overlined when m < 0.
     """
     a = _odd_distinct_halves(mu1)
     b = _odd_distinct_halves(mu2)
-    swapped = len(a) < len(b)
-    if swapped:
-        a, b = b, a
+    depth = b[0] + 1 if b else 0  # every gap lies at -depth or above
+    gaps = {depth - 1 - v for v in b}
+    levels = [v + depth for v in a] + [j for j in range(depth - 1, -1, -1) if j not in gaps]
     m = len(a) - len(b)
-    sym = FrobeniusSymbol(tuple(a[m:]), tuple(b))
-    nu = tuple(a[j] - m + (j + 1) for j in range(m))
-    gamma = union(from_frobenius(sym), tuple(v for v in nu if v > 0))
-    if swapped:
-        gamma = conjugate(gamma)
-    return WrightDecomposition(scale2(gamma), OddStaircase(m, swapped))
+    return WrightDecomposition(scale2(_partition_from_levels(levels)), OddStaircase(abs(m), m < 0))
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def wright_inv(w: WrightDecomposition) -> tuple[Partition, Partition]:
-    """Invert `wright`.
-
-    Every adjustment-partition part is >= the largest part of the Frobenius
-    partition, so the |m| largest parts of the halved (and, for the overlined
-    branch, conjugated) pi recover nu; the rest recovers the Frobenius symbol.
-    """
+    """Invert `wright`: the beta set of pi / 2 on len(pi) + height beads is
+    the Maya diagram of charge m (the height, negated when the 1 is
+    overlined) read from position m - beads up."""
     pi, tri = w
-    k = tri.height
+    if any(v < 1 for v in pi) or any(x < y for x, y in zip(pi, pi[1:])):
+        raise InvalidPartitionError(f"pi must be positive and weakly decreasing: {pi}")
     gamma = halve(pi)  # refuses an odd part
-    if tri.one_overlined:
-        gamma = conjugate(gamma)
-    nu = list(gamma[:k]) + [0] * (k - len(gamma[:k]))
-    top, bottom = to_frobenius(gamma[k:])
-    head = tuple(nu[j] + k - (j + 1) for j in range(k))
-    if tri.one_overlined:
-        b, a = head + top, bottom
-    else:
-        a, b = head + top, bottom
-    for row in (a, b):
-        if any(row[i] <= row[i + 1] for i in range(len(row) - 1)):
-            raise InvalidPartitionError(
-                f"not in the image of the map: {WrightDecomposition(pi, tri)}"
-            )
-    mu1 = tuple(2 * v + 1 for v in a)
-    mu2 = tuple(2 * v + 1 for v in b)
+    beads = len(gamma) + tri.height
+    depth = beads + tri.height if tri.one_overlined else beads - tri.height
+    levels = _levels(gamma, beads)
+    occupied = set(levels)
+    mu1 = tuple(2 * (v - depth) + 1 for v in levels if v >= depth)
+    mu2 = tuple(2 * (depth - 1 - j) + 1 for j in range(depth) if j not in occupied)
     return mu1, mu2
 
 

@@ -299,7 +299,7 @@ def parse_element(f: Family, s: str) -> Any:
             )
         return VTuple(tuple(parse_element(g, t) for g, t in zip(f.components, texts)))
     toks = [] if s == "0" else s.split("+")
-    parts = tuple(_parse_int(tok.rstrip("'~rb"), s) for tok in toks)  # marks follow the digits
+    parts = tuple(_parse_int(tok, s) for tok in toks)
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise InvalidPartitionError(f"parts not weakly decreasing in {s!r}")
     if tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
@@ -324,12 +324,14 @@ def _written(text: str, by_text: dict, what: str) -> Any:
 
 
 def _parse_int(tok: str, ctx: str) -> int:
-    """A part written as `str` writes it: no sign, padding, leading zero or `_`."""
+    """The part of a token, its digits written as `str` writes them (no sign,
+    padding, leading zero or `_`) and followed by its marks."""
+    digits = tok.rstrip("'~rb")
     try:
-        v = int(tok)
+        v = int(digits)
     except ValueError as e:
         raise ElementParseError(f"bad token {tok!r} in {ctx!r}") from e
-    if str(v) != tok:
+    if str(v) != digits:
         raise ElementParseError(f"non-canonical token {tok!r} in {ctx!r}")
     if v < 1:
         raise ElementParseError(f"parts must be positive, got {tok!r} in {ctx!r}")
@@ -467,22 +469,30 @@ def _run_text(tag: str, d: int, m: int, choice) -> str:
 
 def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
     """(d, m, choice) for each run of m copies of a part d of x, magnitudes as
-    x holds them: the choice x makes on that run, read back from x.  The runs
-    are read past the memo of `runs`, which x, any value of the element type,
-    would fill with a 1.0 or True to be handed back for the int twin."""
+    x holds them: the choice x makes on that run, read back from x.  A run
+    is of parts equal in value and type, as 1 == 1.0 == True and any value
+    of the element type may hold such parts: a part 2.0 is a run of its own,
+    written `2.0`, never a copy in the run of the int 2."""
     tag = f.tag
     if tag in ("designated", "two-color"):  # (alpha, beta) or (red, blue)
-        first, second = map(Counter, x._fields())
+        first, second = x._fields()
+        both = sorted([*first, *second], reverse=True)
+        in_first = Counter(zip(first, map(type, first)))
         return tuple(
-            (d, first[d] + second[d], ((d,) * first[d], (d,) * second[d]))
-            for d in sorted(first.keys() | second.keys(), reverse=True)
+            (d, m, ((d,) * in_first[d, t], (d,) * (m - in_first[d, t])))
+            for (d, t), m in Counter(zip(both, map(type, both))).items()
         )
     if tag == "overpartition":
         return tuple(
             (d, m, ((d,) * m, (d,) if d in x.overlined else ()))
-            for d, m in runs.__wrapped__(x.parts)
+            for d, m in _typed_runs(x.parts)
         )
-    return tuple((d, m, (d,) * m) for d, m in runs.__wrapped__(x))
+    return tuple((d, m, (d,) * m) for d, m in _typed_runs(x))
+
+
+def _typed_runs(parts) -> Iterator[tuple[Any, int]]:
+    """(d, m) for each run of m consecutive parts equal to d in value and type."""
+    return ((d, len(list(run))) for (d, _), run in itertools.groupby(zip(parts, map(type, parts))))
 
 
 def _plain_elements(choices: list[tuple]) -> Iterator[Partition]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,13 +42,17 @@ from vrank.families import (
     parse_element,
 )
 from vrank.partition import (
+    FrobeniusSymbol,
     InvalidPartitionError,
     all_parts_even,
+    conjugate,
+    from_frobenius,
     halve,
     is_staircase,
     make_partition,
     scale2,
     staircase,
+    to_frobenius,
     union,
     weight,
 )
@@ -390,6 +395,133 @@ def test_wright_inv_rejects_odd_pi():
     for pi, tri in odd:
         with pytest.raises(InvalidPartitionError, match="even parts"):
             wright_inv(WrightDecomposition(pi, tri))
+
+
+def test_wright_refuses_parts_not_odd_and_strictly_decreasing():
+    # (1, 3) was once answered with a decomposition
+    for mu in [(1, 3), (3, 5, 1), (3, 3), (4,), (5, 2), (0,), (-1,), (3, 1, -1)]:
+        for args in [(mu, ()), ((), mu), ((7, 1), mu)]:
+            with pytest.raises(InvalidPartitionError, match="odd, positive and strictly decreasing"):
+                wright(*args)
+
+
+def test_wright_inv_refuses_pi_not_positive_and_weakly_decreasing():
+    # a few by hand, then each even partition to weight 16 with a zero part
+    # appended or one part raised past its left neighbour
+    bad = [(-2,), (2, 2, 0, 2), (4, 2, 4)]
+    for n in range(0, 17, 2):
+        for pi in map(scale2, enumerate_family(ORDINARY, n // 2)):
+            bad.append(pi + (0,))
+            bad += [pi[:j] + (pi[j - 1] + 2,) + pi[j + 1:] for j in range(1, len(pi))]
+    for pi in bad:
+        for tri in [OddStaircase(0), OddStaircase(1), OddStaircase(3, True)]:
+            with pytest.raises(InvalidPartitionError, match="positive and weakly decreasing"):
+                wright_inv(WrightDecomposition(pi, tri))
+
+
+# A copy of the earlier Frobenius-symbol route to the Wright map, as a
+# reference for the Maya-diagram kernels: a is the longer row (the rows swap
+# when mu1 is shorter), the Frobenius symbol is the a-tail over the b's, an
+# adjustment partition nu comes from the a-head, and the swapped side
+# conjugates.
+
+def _reference_halves(mu):
+    if any(v % 2 == 0 for v in mu) or len(set(mu)) != len(mu):
+        raise InvalidPartitionError(f"parts must be distinct and odd: {mu}")
+    return [(v - 1) // 2 for v in mu]
+
+
+def _reference_wright(mu1, mu2):
+    a = _reference_halves(mu1)
+    b = _reference_halves(mu2)
+    swapped = len(a) < len(b)
+    if swapped:
+        a, b = b, a
+    m = len(a) - len(b)
+    sym = FrobeniusSymbol(tuple(a[m:]), tuple(b))
+    nu = tuple(a[j] - m + (j + 1) for j in range(m))
+    gamma = union(from_frobenius(sym), tuple(v for v in nu if v > 0))
+    if swapped:
+        gamma = conjugate(gamma)
+    return WrightDecomposition(scale2(gamma), OddStaircase(m, swapped))
+
+
+def _reference_wright_inv(w):
+    pi, tri = w
+    k = tri.height
+    gamma = halve(pi)
+    if tri.one_overlined:
+        gamma = conjugate(gamma)
+    nu = list(gamma[:k]) + [0] * (k - len(gamma[:k]))
+    top, bottom = to_frobenius(gamma[k:])
+    head = tuple(nu[j] + k - (j + 1) for j in range(k))
+    if tri.one_overlined:
+        b, a = head + top, bottom
+    else:
+        a, b = head + top, bottom
+    for row in (a, b):
+        if any(row[i] <= row[i + 1] for i in range(len(row) - 1)):
+            raise InvalidPartitionError(f"not in the image of the map: {w}")
+    return tuple(2 * v + 1 for v in a), tuple(2 * v + 1 for v in b)
+
+
+def test_wright_matches_reference_exhaustive():
+    from vrank.families import DISTINCT_ODD
+
+    for n in range(25):
+        for a in range(n + 1):
+            for mu1 in enumerate_family(DISTINCT_ODD, a):
+                for mu2 in enumerate_family(DISTINCT_ODD, n - a):
+                    w = wright.__wrapped__(mu1, mu2)
+                    assert w == _reference_wright(mu1, mu2)
+                    assert wright_inv.__wrapped__(w) == _reference_wright_inv(w) == (mu1, mu2)
+
+
+def test_wright_inv_matches_reference_on_every_even_pi():
+    # wright_inv is onto every (even pi, odd staircase): the reference
+    # refuses none of these either
+    for n in range(16):
+        for p in enumerate_family(ORDINARY, n):
+            pi = scale2(p)
+            for k in range(7):
+                for over in (False, True) if k else (False,):
+                    w = WrightDecomposition(pi, OddStaircase(k, over))
+                    mu1, mu2 = wright_inv.__wrapped__(w)
+                    assert (mu1, mu2) == _reference_wright_inv(w)
+                    assert wright.__wrapped__(mu1, mu2) == w
+
+
+@st.composite
+def heavy_wright_inputs(draw, low=1000, high=5000):
+    """A pair of distinct-odd partitions and an (even pi, odd staircase), each
+    of total weight in [low, high]; the parts come from a generator seeded
+    by the draw, as hypothesis draws hundreds of single parts poorly."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    sides, total, target = (set(), set()), 0, draw(st.integers(low, high - 241))
+    while total < target:  # each part adds at most 241
+        v = 2 * rnd.randrange(121) + 1
+        side = sides[rnd.randrange(2)]
+        if v not in side:
+            side.add(v)
+            total += v
+    k = draw(st.integers(0, 6))
+    parts, left = [], draw(st.integers(low // 2, (high - 36) // 2))  # pi / 2
+    while left:
+        parts.append(rnd.randint(1, min(left, 60)))
+        left -= parts[-1]
+    tri = OddStaircase(k, k > 0 and draw(st.booleans()))
+    pair = tuple(tuple(sorted(side, reverse=True)) for side in sides)
+    return pair, WrightDecomposition(scale2(make_partition(parts)), tri)
+
+
+@given(heavy_wright_inputs())
+def test_wright_matches_reference_at_weights_1000_to_5000(inputs):
+    pair, w = inputs
+    image = wright.__wrapped__(*pair)
+    assert image == _reference_wright(*pair)
+    assert wright_inv.__wrapped__(image) == _reference_wright_inv(image) == pair
+    assert wright_inv.__wrapped__(w) == _reference_wright_inv(w)
+    assert wright.__wrapped__(*wright_inv.__wrapped__(w)) == w
 
 
 # --- run-length kernels against the per-magnitude .count() copies -----------

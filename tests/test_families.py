@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from vrank.families import (
     DISTINCT_ODD,
     EVEN_PARTS,
     DesignatedPartition,
+    ElementParseError,
     EnumerationLimitError,
     Family,
     NAMED_FAMILIES,
@@ -104,6 +106,22 @@ def test_membership_refuses_parts_not_ints():
     assert format_element(ORDINARY, (3, 1)) == "3+1" and parse_element(ORDINARY, "1") == (1,)
     assert format_element(OVERPARTITION, Overpartition((1,), (1,))) == "1~"
     assert [format_element(ORDINARY, x) for x in enumerate_family(ORDINARY, 2)] == ["1+1", "2"]
+
+
+def test_float_parts_get_their_own_runs():
+    # 2.0 == 2, but a float part is written as itself, never as a copy in its
+    # int twin's run, so a non-member is never written as a member's text
+    for f, x, text in [
+        (PD, DesignatedPartition((2,), (2.0, 2.0)), "2'+2.0+2.0'"),
+        (ORDINARY, (2, 2.0), "2+2.0"),
+        (ORDINARY, (2.0, 2), "2.0+2"),
+        (A, TwoColorPartition((2,), (2.0,)), "2r+2.0b"),
+        (ORDINARY, (True, 1), "True+1"),
+    ]:
+        assert format_element(f, x) == text
+        assert is_member(f, x) is False
+    assert format_element(PD, DesignatedPartition((2,), (2, 2))) == "2+2'+2"
+    assert format_element(ORDINARY, (2, 2)) == "2+2"
 
 
 def test_odd_staircase_height_is_an_int_not_below_0():
@@ -352,9 +370,16 @@ def test_grammar_rejects_garbage():
         (A, "1r+2r"),                # magnitudes decrease
         (A, "2r+2b"),                # blue copies are written first
         (A, "2b+3r"),
+        (A, "b"),                    # marks with no digits
     ]:
         with pytest.raises(ValueError):
             parse_element(f, bad)
+
+
+def test_bad_tokens_are_quoted_as_written():
+    for f, text, token in [(A, "b", "b"), (A, "4r+rb", "rb"), (PD, "'", "'"), (OVERPARTITION, "2~+x~", "x~")]:
+        with pytest.raises(ElementParseError, match=f"^bad token {re.escape(repr(token))} in "):
+            parse_element(f, text)
 
 
 def _reorderings(text):
