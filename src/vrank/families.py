@@ -48,11 +48,9 @@ from typing import Any, Iterator
 
 from .partition import (
     EMPTY,
-    KERNEL_CACHE_SIZE,
     Partition,
     InvalidPartitionError,
     Record,
-    runs,
     staircase,
 )
 
@@ -307,7 +305,7 @@ def parse_element(f: Family, s: str) -> Any:
         found = _generate(f, weight) if weight <= len(parts) ** 2 else ()
         return _written(s, {format_element(f, y): y for y in found}, f"an element of {tag}")
     chosen, start = [], 0
-    for d, m in runs(parts):
+    for d, m in _typed_runs(parts):
         text = "+".join(toks[start:start + m])
         start += m
         by_text = {_run_text(tag, d, m, choice): choice for choice in _run_options(f, d, m)}
@@ -450,12 +448,11 @@ def _run_options(f: Family, d: int, m: int) -> tuple:
     return ((d,) * m,) if allowed else ()  # the run's parts, if allowed
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
 def _run_text(tag: str, d: int, m: int, choice) -> str:
     """The tokens of m copies of the part d under one choice of `_run_options`:
-    the one writer of a run's text, for slices and `format_element` alike.
-    Typed, as 1 == 1.0 == True: the text of a part 1.0 or True written by
-    `format_element` must not be handed back for the part 1."""
+    the one writer of a run's text, for slices, `format_element` and
+    `parse_element` alike.  Not memoized: a join is cheap, and a memo keyed
+    by `==` could hand the text of a part 1.0 back for the part 1."""
     if tag == "designated":  # the i-th copy primed: i is the count in beta, or 1
         i = len(choice[1]) or 1
         return "+".join(f"{d}'" if j == i else str(d) for j in range(1, m + 1))

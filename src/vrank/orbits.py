@@ -6,13 +6,16 @@ first three components and cyclically shifts the parts inside it; applied
 three times it is the identity, and the three ranks along an orbit hit all
 residues mod 3.  Pulling orbits back through a family's bijection partitions
 the weight-(3n+2) slice into blocks of 3, which is the congruence.
-Orbit records hold elements, not images (three `VTuple`s per orbit, read only
-by the tables): the table writers derive tuples and ranks through `forward`,
-and the pass lets each slice element go once walked.
+An orbit is the tuple of its three elements, slot k holding the one whose
+image has rank == k mod 3; no image is kept (three `VTuple`s per orbit, read
+only by the tables): the table writers derive tuples and ranks through
+`forward`, and the pass lets each slice element go once walked.
 The operator reads and moves only the first three components, and its one
 memo, `_residues`, is keyed by a single partition: far fewer partitions than
-triples of them occur, and a shifted component that gains no part, or keeps
-none of its own, is a tuple the memo already holds, so few are built.
+triples of them occur.  It merges through `partition.union`, which returns
+the other side itself when one side is empty, so a shifted component that
+gains no part, or keeps none of its own, is a tuple the memo already holds,
+and few are built.
 """
 
 import gc
@@ -37,7 +40,7 @@ from .families import (
     format_element,
     is_member,
 )
-from .partition import InvalidPartitionError, Partition, Record
+from .partition import InvalidPartitionError, Partition, union
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -79,7 +82,7 @@ def o_hat(v: VTuple) -> VTuple:
     r = 0 if case == CASE1 else 2
     c = v.components
     s0, s1, s2 = _residues(c[0]), _residues(c[1]), _residues(c[2])
-    shifted = _merge(s0[r + 1], s2[r]), _merge(s1[r + 1], s0[r]), _merge(s2[r + 1], s1[r])
+    shifted = union(s0[r + 1], s2[r]), union(s1[r + 1], s0[r]), union(s2[r + 1], s1[r])
     return VTuple(shifted + c[3:])
 
 
@@ -92,11 +95,6 @@ def _residues(p: Partition) -> tuple[Partition, ...]:
         moved = tuple(x for x in p if x % 3 == r)
         split += moved, (tuple(x for x in p if x % 3 != r) if moved else p)
     return tuple(split)
-
-
-def _merge(a: Partition, b: Partition) -> Partition:
-    """Two partitions merged decreasing; with one side empty, the other itself."""
-    return tuple(sorted(a + b, reverse=True)) if a and b else a or b
 
 
 def rotate_o(v: VTuple) -> VTuple:
@@ -129,16 +127,7 @@ def family_bijection(f: Family) -> tuple[Callable, Callable, Family]:
         raise OrbitError(f"no bijection available for family {f.tag}") from None
 
 
-class Orbit(Record):
-    # slot k: the element whose image has rank == k mod 3; no image is kept,
-    # since only the table writers read one, and they derive it by `forward`
-    __slots__ = ("members",)
-
-    def __init__(self, members: tuple[Any, ...]):
-        object.__setattr__(self, "members", members)
-
-
-def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbit]:
+def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[tuple]:
     """Orbit decomposition of the weight-n slice of f (n == 2 mod 3).
 
     The cyclic garbage collector is paused while the slice is enumerated and
@@ -148,9 +137,10 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
     the pause, so cyclic garbage the caller has just left is not held through
     it.  The caller's collector state is restored on every exit, an error
     included; a collector the caller had disabled is neither run nor enabled.
-    An orbit keeps its elements; only the tables read images, via `forward`.
-    It pops its fresh slice list in text order, letting each element go once
-    walked, so it ends holding the records' members, not the slice as well.
+    Each orbit is the triple of its elements, slot k holding the one of rank
+    == k mod 3; only the tables read images, via `forward`.  The pass pops
+    its fresh slice list in text order, letting each element go once walked,
+    so it ends holding the orbits' elements, not the slice as well.
     """
     if n % 3 != 2:
         raise OrbitError(f"orbit decomposition needs n == 2 mod 3, got {n}")
@@ -170,7 +160,7 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
         seen = set()  # later members of earlier orbits; an orbit's x is never met again
         orbits = []
         while elements:
-            x = elements.pop()  # let go once walked: the records keep their own members
+            x = elements.pop()  # let go once walked: the orbits keep their own elements
             if x in seen:
                 continue
             try:
@@ -197,7 +187,7 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[Orbi
             members[v_rank(v2) % 3] = y2
             if None in members:
                 raise OrbitError(f"orbit of {format_element(f, x)} at n={n} misses a rank residue")
-            orbits.append(Orbit(tuple(members)))
+            orbits.append(tuple(members))
         if 3 * len(orbits) != size:
             raise OrbitError(f"{len(orbits)} orbits cover {size} elements at n={n}")
         return orbits
@@ -221,24 +211,24 @@ def _witness(f: Family, y: Any) -> str:
 
 # --- reports ----------------------------------------------------------------
 
-def _rows(f: Family, orbits: list[Orbit]) -> Iterator[tuple[str, str, int, int]]:
+def _rows(f: Family, orbits: list[tuple]) -> Iterator[tuple[str, str, int, int]]:
     """(element text, tuple text, rank, orbit index from 1) for every member,
     orbit by orbit; each tuple is forward(x) and its rank v_rank(forward(x))."""
     forward, _, image = family_bijection(f)
     for idx, orbit in enumerate(orbits, start=1):
-        for x in orbit.members:
+        for x in orbit:
             v = forward(x)
             yield format_element(f, x), format_element(image, v), v_rank(v), idx
 
 
-def orbits_to_json(f: Family, name: str, n: int, orbits: list[Orbit]) -> dict:
+def orbits_to_json(f: Family, name: str, n: int, orbits: list[tuple]) -> dict:
     blocks: list[list] = [[] for _ in orbits]
     for elem, tup, rank, idx in _rows(f, orbits):
         blocks[idx - 1].append([elem, tup, rank])
     return {"family": name, "n": n, "orbits": blocks}
 
 
-def orbits_to_markdown(f: Family, n: int, orbits: list[Orbit]) -> str:
+def orbits_to_markdown(f: Family, n: int, orbits: list[tuple]) -> str:
     lines = [
         "| element | tuple | r_V | orbit |",
         "| --- | --- | --- | --- |",

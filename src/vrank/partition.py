@@ -3,7 +3,7 @@
 A partition is stored as a tuple of positive integers in weakly decreasing
 order; the empty tuple is the unique partition of 0.  All operations here are
 pure functions on those tuples, so values are freely shareable and hashable;
-`runs`, which every layer reads multiplicities from, is memoized.  `Record`
+`runs`, which the bijections read multiplicities from, is memoized.  `Record`
 is the base of the package's other read-only value types.
 """
 
@@ -105,13 +105,14 @@ def conjugate(p: Partition) -> Partition:
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def runs(p: Partition) -> tuple[tuple[int, int], ...]:
     """(magnitude, multiplicity) of each run of equal parts, magnitudes
-    decreasing; the one run decomposition shared by every caller."""
+    decreasing; memoized for the bijections' kernels, which key by `==`."""
     return tuple((d, len(tuple(run))) for d, run in groupby(p))
 
 
 def union(p: Partition, q: Partition) -> Partition:
-    """Multiset union of the parts, re-sorted."""
-    return tuple(sorted(p + q, reverse=True))
+    """Multiset union of the parts, re-sorted; with one side empty, the
+    other side itself, so a union that adds nothing builds nothing."""
+    return tuple(sorted(p + q, reverse=True)) if p and q else p or q
 
 
 def scale2(p: Partition) -> Partition:

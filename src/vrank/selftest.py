@@ -85,7 +85,7 @@ def _checks():
                 if format_element(image, v) != tup or orbits.v_rank(v) != rank:
                     return False
             got = {
-                frozenset(format_element(family, x) for x in orbit.members)
+                frozenset(format_element(family, x) for x in orbit)
                 for orbit in orbits.build_orbits(family, 5)
             }
             return got == orbit_partition(rows)

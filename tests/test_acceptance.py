@@ -95,13 +95,13 @@ def test_criterion_6_orbit_theorem_suite():
         forward, _, _ = orbits.family_bijection(family)
         for n in range(2, 21, 3):
             decomposition = orbits.build_orbits(family, n)
-            members = [x for o in decomposition for x in o.members]
+            members = [x for o in decomposition for x in o]
             total = count_family(family, n)
             ok &= len(members) == len(set(members)) == total
             ok &= total % 3 == 0
             for o in decomposition:
-                ok &= len(o.members) == 3
-                images = [forward(x) for x in o.members]
+                ok &= len(o) == 3
+                images = [forward(x) for x in o]
                 ok &= [orbits.v_rank(v) % 3 for v in images] == [0, 1, 2]
                 for v in images:
                     w = orbits.o_hat(orbits.o_hat(orbits.o_hat(v)))

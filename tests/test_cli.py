@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vrank import orbits
+from vrank import orbits, series
 from vrank.cli import VERIFY_CEILING, build_parser, main
 from vrank.families import NAMED_FAMILIES, PD, POD2, DesignatedPartition, VTuple, parse_element
 from vrank.partition import union
@@ -160,6 +160,24 @@ def test_verify_degenerate_orbit_exits_1(capsys, monkeypatch):
         "orbits: orbit of 1'+1 at n=2 is degenerate",
         "orbits: orbit of 1'+1+1+1+1 at n=5 is degenerate",
         "orbits: orbit of 1'+1+1+1+1+1+1+1 at n=8 is degenerate",
+    ]
+
+
+def test_verify_judges_each_method_by_its_own_checks(capsys, monkeypatch):
+    # a failed series check leaves the later methods' status lines alone, and
+    # the witness lines still come after every status line
+    monkeypatch.setattr(series, "scan_congruence", lambda f, max_n: [0])
+    code, out, err = run(capsys, "verify", "--family", "a", "--max-n", "8", "--method", "all")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "a series: checked n = 2, 5, 8 (--max-n 8)",
+        "a series: FAIL",
+        "a enumerate: checked n = 2, 5, 8 (--max-n 8)",
+        "a enumerate: ok",
+        "a orbits: checked n = 2, 5, 8 (--max-n 8)",
+        "a orbits: ok",
+        "series: coefficient at 2 not divisible by 3",
     ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from family_generators import designated, generate, split_products
-from vrank import families, orbits
+from vrank import bijections, families, orbits
 from vrank.families import (
     A,
     A_IMAGE,
@@ -35,7 +35,6 @@ from vrank.families import (
     TwoColorPartition,
     UnknownFamilyError,
     VTuple,
-    _run_text,
     count_family,
     element_weight,
     enumerate_family,
@@ -44,7 +43,7 @@ from vrank.families import (
     is_member,
     parse_element,
 )
-from vrank.partition import KERNEL_CACHE_SIZE, InvalidPartitionError, runs
+from vrank.partition import InvalidPartitionError, runs
 from vrank.series import family_series
 
 
@@ -122,6 +121,23 @@ def test_float_parts_get_their_own_runs():
         assert is_member(f, x) is False
     assert format_element(PD, DesignatedPartition((2,), (2, 2))) == "2+2'+2"
     assert format_element(ORDINARY, (2, 2)) == "2+2"
+
+
+def test_reading_shares_no_memo_with_the_kernels():
+    # the kernels' memos key by ==, so a float argument leaves entries that
+    # its int twin then hits; the reader reads its runs itself, so a text
+    # still reads as the element with int parts
+    kernels = (runs, bijections.psi)
+    for kernel in kernels:
+        kernel.cache_clear()
+    try:
+        bijections.lambda_pd(DesignatedPartition((), (2.0, 2.0)))
+        x = parse_element(PD, "2+2'")
+    finally:  # the float entries must not reach later tests
+        for kernel in kernels:
+            kernel.cache_clear()
+    assert x == DesignatedPartition((), (2, 2))
+    assert [type(d) for d in x.alpha + x.beta] == [int, int]
 
 
 def test_odd_staircase_height_is_an_int_not_below_0():
@@ -345,7 +361,6 @@ def test_designated_and_two_color_text_match_reference():
     assert format_element(PD, heavy) == _reference_text(heavy)
     mixed = TwoColorPartition((9, 4, 4, 1), (10, 4, 2, 2))
     assert format_element(A, mixed) == _reference_text(mixed) == "10b+9r+4b+4r+4r+2b+2b+1r"
-    assert _run_text.cache_info().maxsize == KERNEL_CACHE_SIZE
 
 
 def test_grammar_rejects_garbage():

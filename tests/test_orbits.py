@@ -275,7 +275,7 @@ def test_build_orbits_pd_2():
     # derived by hand: the three elements 2', 1'+1, 1+1' form one orbit
     orbits = build_orbits(PD, 2)
     assert len(orbits) == 1
-    elems = {format_element(PD, x) for x in orbits[0].members}
+    elems = {format_element(PD, x) for x in orbits[0]}
     assert elems == {"2'", "1'+1", "1+1'"}
 
 
@@ -397,28 +397,28 @@ def test_build_orbits_partitions_slice(family, name):
     forward, _, _ = orbits_module.family_bijection(family)
     for n in (2, 5, 8, 11):
         orbits = build_orbits(family, n)
-        members = [x for orbit in orbits for x in orbit.members]
+        members = [x for orbit in orbits for x in orbit]
         assert len(members) == len(set(members)) == count_family(family, n)
         for orbit in orbits:
-            assert len(orbit.members) == 3
-            assert [v_rank(forward(x)) % 3 for x in orbit.members] == [0, 1, 2]
+            assert len(orbit) == 3
+            assert [v_rank(forward(x)) % 3 for x in orbit] == [0, 1, 2]
         assert count_family(family, n) % 3 == 0
 
 
 @pytest.mark.parametrize("family,name", [(PD, "pd"), (A, "a"), (POD2, "pod2")])
 def test_orbit_records_hold_elements_and_tables_derive_images(family, name):
-    # an orbit holds its three elements, slot k the one of rank == k mod 3;
+    # an orbit is the triple of its elements, slot k the one of rank == k mod 3;
     # the json rows give each element's image and rank through forward
     forward, _, image = orbits_module.family_bijection(family)
     for n in range(2, 15, 3):
         orbits = build_orbits(family, n)
         for orbit in orbits:
-            assert isinstance(orbit.members, tuple) and len(orbit.members) == 3
-            assert all(is_member(family, x) for x in orbit.members)
-            assert [v_rank(forward(x)) % 3 for x in orbit.members] == [0, 1, 2]
+            assert isinstance(orbit, tuple) and len(orbit) == 3
+            assert all(is_member(family, x) for x in orbit)
+            assert [v_rank(forward(x)) % 3 for x in orbit] == [0, 1, 2]
         rows = [
             [[format_element(family, x), format_element(image, forward(x)), v_rank(forward(x))]
-             for x in orbit.members]
+             for x in orbit]
             for orbit in orbits
         ]
         assert orbits_to_json(family, name, n, orbits)["orbits"] == rows

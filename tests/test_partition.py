@@ -53,6 +53,15 @@ def test_union_derived():
     assert union((2, 2), (3, 2)) == (3, 2, 2, 2)
 
 
+def test_union_with_an_empty_side_is_the_other_side():
+    p, q = (5, 2), (3, 3, 1)
+    assert union(p, ()) is p and union((), q) is q
+    small = [x for n in range(9) for x in enumerate_family(ORDINARY, n)]
+    for p in small:
+        for q in small:
+            assert union(p, q) == tuple(sorted(p + q, reverse=True))
+
+
 @given(partitions, partitions)
 def test_union_weight_additive(p, q):
     assert weight(union(p, q)) == weight(p) + weight(q)

@@ -22,12 +22,10 @@ from vrank.families import (
     UnknownFamilyError,
     VTuple,
 )
-from vrank.orbits import Orbit
 from vrank.partition import InvalidPartitionError
 
 E = ((3, 2, 1), (1, 1, 1))
 TRIPLE = ((2,), (), OddStaircase(1))
-MEMBERS = (DesignatedPartition(*E), DesignatedPartition((2,), ()), DesignatedPartition((), (1, 1)))
 
 # (value, the same value built by keyword)
 VALUES = {
@@ -42,7 +40,6 @@ VALUES = {
     "odd-staircase": (OddStaircase(2, True), OddStaircase(height=2, one_overlined=True)),
     "odd-staircase-default": (OddStaircase(2), OddStaircase(2, False)),
     "vtuple": (VTuple(TRIPLE), VTuple(components=TRIPLE)),
-    "orbit": (Orbit(MEMBERS), Orbit(members=MEMBERS)),
 }
 PAIRS = pytest.mark.parametrize("value, by_keyword", VALUES.values(), ids=VALUES.keys())
 
@@ -92,7 +89,6 @@ def test_equality_is_type_strict():
     assert TwoColorPartition((3, 3, 1), (3,)) != Overpartition((3, 3, 1), (3,))
     assert OddStaircase(1) != (1, False)
     assert Family("designated") != ("designated", 0, (), ())
-    assert Orbit(MEMBERS) != MEMBERS
     assert len({DesignatedPartition(*E), VTuple(E), (E,), E}) == 4
 
 
