@@ -29,8 +29,8 @@ Residue-class factors (q^r; q^t)_inf, 0 < r < t, come from the mod-parts
 and mod-distinct families.  A pair (r, t), (t - r, t) with a common exponent
 k is f(-q^r, -q^(t-r))^k / f_t^k by the Jacobi triple product, so the pair
 costs one sparse sweep per unit and adds -k to the eta part;
-(q^r; q^2r)_inf is f_r / f_2r.  Any other residue factor takes an O(N)
-sweep per linear factor (`_apply_linear`).
+(q^r; q^2r)_inf is f_r / f_2r.  Any other residue factor is one sweep of
+the same kernel per linear factor 1 - q^k, whose one tap is -1 at k.
 """
 
 from collections import Counter
@@ -77,18 +77,6 @@ class PowerSeries:
 
 def one(truncation: int) -> PowerSeries:
     return PowerSeries([1] + [0] * truncation)
-
-
-def _apply_linear(coeffs: list[int], k: int, exponent: int) -> None:
-    """Multiply in place by (1 - q^k)^exponent."""
-    n = len(coeffs) - 1
-    for _ in range(abs(exponent)):
-        if exponent > 0:
-            for i in range(n, k - 1, -1):
-                coeffs[i] -= coeffs[i - k]
-        else:
-            for i in range(k, n + 1):
-                coeffs[i] += coeffs[i - k]
 
 
 def _apply_eta(coeffs: list[int], taps: list[tuple[int, int]], scale: int, exponent: int) -> None:
@@ -188,7 +176,8 @@ def _plan(factors: dict[tuple[int, int], int]) -> list[tuple[tuple | None, dict,
 
 def build_series(factors: dict[tuple[int, int], int], truncation: int) -> PowerSeries:
     """prod (q^a; q^b)_inf^e over the items ((a, b), e) of `factors`, one
-    sparse sweep per unit exponent of each step of `_plan`."""
+    `_apply_eta` sweep per unit exponent of each step of `_plan`: a theta's
+    taps, or the one tap of each linear factor 1 - q^k of a residue class."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     if any(a <= 0 or b <= 0 for a, b in factors):
@@ -198,7 +187,7 @@ def build_series(factors: dict[tuple[int, int], int], truncation: int) -> PowerS
         if theta is None:
             ((a, b),) = vector
             for k in range(a, truncation + 1, b):
-                _apply_linear(s.coeffs, k, exponent)
+                _apply_eta(s.coeffs, [(k, -1)], 1, exponent)
         else:
             _apply_eta(s.coeffs, *_theta_taps(*theta, truncation), exponent)
     return s

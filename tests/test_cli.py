@@ -415,6 +415,17 @@ def test_selftest(capsys):
     assert "0 failure(s)" in out
 
 
+def test_selftest_reads_the_printed_table_rows(capsys, monkeypatch):
+    # the n=5 table checks compare the rows `vrank orbits` prints, so a row
+    # that the writer loses fails each of them
+    rows = orbits._rows
+    monkeypatch.setattr(orbits, "_rows", lambda f, found: list(rows(f, found))[:-1])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    for name in ("pd", "a", "pod2"):
+        assert f"FAIL n=5 decomposition table for {name}\n" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

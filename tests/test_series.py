@@ -27,7 +27,6 @@ from vrank.series import (
     _ETA_KERNELS,
     PowerSeries,
     _apply_eta,
-    _apply_linear,
     _plan,
     _theta_taps,
     build_series,
@@ -65,11 +64,17 @@ def test_mul_commutes_and_associates():
     assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
-def test_geometric_series():
-    # a single linear factor 1/(1-q) has every coefficient 1
-    s = one(20)
-    _apply_linear(s.coeffs, 1, -1)
-    assert s.coeffs == [1] * 21
+@pytest.mark.parametrize("exponent", [-2, -1, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_geometric_series(k, exponent):
+    # a linear factor (1 - q^k)^exponent is one tap of the sweep kernel, and
+    # gives the dense sweep's coefficients; 1/(1-q^k) is 1 at each multiple of k
+    s, reference = one(20), one(20)
+    _apply_eta(s.coeffs, [(k, -1)], 1, exponent)
+    _sweep(reference.coeffs, k, 1, exponent)
+    assert s == reference
+    if exponent == -1:
+        assert s.coeffs == [int(i % k == 0) for i in range(21)]
 
 
 def test_inverse_product_cancels():
@@ -113,11 +118,13 @@ def test_distinct_triples_product():
 @pytest.mark.parametrize(
     "f",
     [PD, A, POD, POD2, OP2, ORDINARY, OVERPARTITION, Family("mod-parts", 2, (0,)),
-     PD_IMAGE, A_IMAGE, POD2_IMAGE],
+     PD_IMAGE, A_IMAGE, POD2_IMAGE, family_by_name("p3_1"), family_by_name("d5_2")],
     ids=["pd", "a", "pod", "pod2", "op2", "ordinary", "op", "p2_0",
-         "pd-image", "a-image", "pod2-image"],
+         "pd-image", "a-image", "pod2-image", "p3_1", "d5_2"],
 )
 def test_series_matches_enumeration(f):
+    # p3_1 takes one dividing linear step; d5_2 a dividing (2, 5) step and a
+    # multiplying (4, 10) one, so the one-tap sweeps meet the count tables
     s = family_series(f, N_TEST)
     for n in range(N_TEST + 1):
         assert s[n] == count_family(f, n), f"coefficient {n}"
