@@ -479,9 +479,10 @@ def _runs_of(f: Family, x: Any) -> tuple[tuple[int, int, Any], ...]:
             (d, m, ((d,) * in_first[d, t], (d,) * (m - in_first[d, t])))
             for (d, t), m in Counter(zip(both, map(type, both))).items()
         )
-    if tag == "overpartition":
+    if tag == "overpartition":  # an overline, too, marks the part of its value and type
+        overlined = tuple(zip(x.overlined, map(type, x.overlined)))
         return tuple(
-            (d, m, ((d,) * m, (d,) if d in x.overlined else ()))
+            (d, m, ((d,) * m, (d,) if (d, type(d)) in overlined else ()))
             for d, m in _typed_runs(x.parts)
         )
     return tuple((d, m, (d,) * m) for d, m in _typed_runs(x))

@@ -9,10 +9,20 @@ its components' maps, so no map is derived from a bijection.
 `build_series` applies a map in as few sparse sweeps as it finds.  Every
 kernel is a Ramanujan theta f(s q^x, s q^y), whose O(sqrt(N/x)) nonzero
 coefficients are the taps of one in-place O(N sqrt N) sweep (`_apply_eta`);
-each unit of a kernel's exponent is one sweep.  A sweep sums its taps in
-plain loops: under CPython <= 3.11 a comprehension is a call per coefficient,
-which costs more than the additions it wraps.  The kernel table, with the
-eta vector each kernel stands for:
+each unit of a kernel's exponent is one sweep.  A call builds its schedule
+once, the blocks between consecutive taps with the taps each block reads,
+and every unit replays it.  A sweep sums its taps in plain loops: under
+CPython <= 3.11 a comprehension is a call per coefficient, which costs more
+than the additions it wraps.
+
+Given a modulus m, `build_series` computes in Z/mZ: each coefficient a sweep
+writes is reduced mod m.  Every sweep multiplies or divides by 1 + sum_g t_g
+q^g, whose constant term is 1, so each is a ring operation mod m (division
+by a unit) and the residues are the exact coefficients mod m.  So
+`scan_congruence` never builds the exact integers, which reach about 350
+bits at N = 3000.
+
+The kernel table, with the eta vector each kernel stands for:
 
     phi(q^a)  = f(q^a, q^a)       = f_2a^5 / (f_a^2 f_4a^2)   Jacobi
     phi(-q^a) = f(-q^a, -q^a)     = f_a^2 / f_2a              Gauss
@@ -79,24 +89,39 @@ def one(truncation: int) -> PowerSeries:
     return PowerSeries([1] + [0] * truncation)
 
 
-def _apply_eta(coeffs: list[int], taps: list[tuple[int, int]], scale: int, exponent: int) -> None:
+def _apply_eta(
+    coeffs: list[int], taps: list[tuple[int, int]], scale: int, exponent: int,
+    modulus: int | None = None,
+) -> None:
     """Multiply in place by (1 + scale * sum_g t_g q^g)^exponent, t_g = +-1,
     one sweep per unit: c[i] += d * scale * sum_g t_g c[i-g] multiplies when
     swept downward (d = 1) and divides when swept upward (d = -1).  The taps
-    g <= i change only at each offset g, so the sweep runs block by block."""
+    g <= i change only at each offset g, so the sweep runs block by block;
+    the blocks, each a range with its + and - taps, are built once, one tap
+    at a time, and reused by every unit.  With a modulus, each coefficient
+    written is reduced mod it."""
     n, m = len(coeffs) - 1, scale if exponent > 0 else -scale
-    ends = [g for g, _ in taps[1:]] + [n + 1]
+    blocks, add, sub = [], (), ()
+    for (g, t), end in zip(taps, [g for g, _ in taps[1:]] + [n + 1]):
+        if t == 1:
+            add += (g,)
+        else:
+            sub += (g,)
+        blocks.append((range(g, end), add, sub))
+    if m > 0:
+        blocks = [(sweep[::-1], add, sub) for sweep, add, sub in reversed(blocks)]
     for _ in range(abs(exponent)):
-        for b in range(len(taps)) if m < 0 else reversed(range(len(taps))):
-            add, sub = ([g for g, t in taps[: b + 1] if t == s] for s in (1, -1))
-            sweep = range(taps[b][0], ends[b])
-            for i in sweep if m < 0 else reversed(sweep):
+        for sweep, add, sub in blocks:
+            for i in sweep:
                 total = 0
                 for g in add:
                     total += coeffs[i - g]
                 for g in sub:
                     total -= coeffs[i - g]
-                coeffs[i] += m * total
+                if modulus:
+                    coeffs[i] = (coeffs[i] + m * total) % modulus
+                else:
+                    coeffs[i] += m * total
 
 
 def _theta_taps(x: int, y: int, sign: int, n: int) -> tuple[list[tuple[int, int]], int]:
@@ -174,22 +199,29 @@ def _plan(factors: dict[tuple[int, int], int]) -> list[tuple[tuple | None, dict,
     return sorted(steps, key=lambda step: -step[2])  # multiply while coefficients are small
 
 
-def build_series(factors: dict[tuple[int, int], int], truncation: int) -> PowerSeries:
+def build_series(
+    factors: dict[tuple[int, int], int], truncation: int, modulus: int | None = None
+) -> PowerSeries:
     """prod (q^a; q^b)_inf^e over the items ((a, b), e) of `factors`, one
     `_apply_eta` sweep per unit exponent of each step of `_plan`: a theta's
-    taps, or the one tap of each linear factor 1 - q^k of a residue class."""
+    taps, or the one tap of each linear factor 1 - q^k of a residue class.
+    With a modulus m, each coefficient is the exact one reduced mod m."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     if any(a <= 0 or b <= 0 for a, b in factors):
         raise ValueError(f"factor offsets must be positive, got {sorted(factors)}")
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     s = one(truncation)
+    if modulus is not None:
+        s.coeffs[0] %= modulus
     for theta, vector, exponent in _plan(factors):
         if theta is None:
             ((a, b),) = vector
             for k in range(a, truncation + 1, b):
-                _apply_eta(s.coeffs, [(k, -1)], 1, exponent)
+                _apply_eta(s.coeffs, [(k, -1)], 1, exponent, modulus)
         else:
-            _apply_eta(s.coeffs, *_theta_taps(*theta, truncation), exponent)
+            _apply_eta(s.coeffs, *_theta_taps(*theta, truncation), exponent, modulus)
     return s
 
 
@@ -225,13 +257,19 @@ def generating_function(f: Family) -> dict[tuple[int, int], int]:
     return {k: e for k, e in gf.items() if e}
 
 
-def family_series(f: Family, truncation: int) -> PowerSeries:
-    return build_series(generating_function(f), truncation)
+def family_series(f: Family, truncation: int, modulus: int | None = None) -> PowerSeries:
+    return build_series(generating_function(f), truncation, modulus)
 
 
 def scan_congruence(f: Family, bound: int, modulus: int = 3, residue: int = 2) -> list[int]:
     """All n with modulus*n + residue <= bound whose coefficient there is
-    nonzero mod modulus.  Expected empty for the four congruence families."""
-    s = family_series(f, bound)
+    nonzero mod modulus.  Expected empty for the four congruence families.
+    The series is built in residue arithmetic, `family_series(f, bound,
+    modulus)`, so no coefficient grows past the modulus; the residues are the
+    exact coefficients' (see the module docstring).  A modulus below 1 is
+    refused there, and a negative residue here, both by ValueError."""
+    if residue < 0:
+        raise ValueError(f"residue must be >= 0, got {residue}")
+    s = family_series(f, bound, modulus)
     top = (bound - residue) // modulus
-    return [n for n in range(top + 1) if s[modulus * n + residue] % modulus != 0]
+    return [n for n in range(top + 1) if s[modulus * n + residue]]

@@ -123,6 +123,16 @@ def test_float_parts_get_their_own_runs():
     assert format_element(ORDINARY, (2, 2)) == "2+2"
 
 
+def test_an_overline_marks_only_the_part_of_its_type():
+    # the overline 2.0 == 2 marks no int part 2, so the text is not the member's `2~`
+    x = Overpartition((2,), (2.0,))
+    assert format_element(OVERPARTITION, x) == "2"
+    assert is_member(OVERPARTITION, x) is False
+    assert format_element(OVERPARTITION, Overpartition((2.0,), (2,))) == "2.0"
+    assert format_element(OVERPARTITION, Overpartition((2,), (2,))) == "2~"
+    assert format_element(OVERPARTITION, Overpartition((True,), (True,))) == "True~"
+
+
 def test_reading_shares_no_memo_with_the_kernels():
     # the kernels' memos key by ==, so a float argument leaves entries that
     # its int twin then hits; the reader reads its runs itself, so a text

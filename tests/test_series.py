@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import random
 from collections import Counter
@@ -5,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vrank import series
 from vrank.families import (
     A,
     A_IMAGE,
@@ -269,6 +272,66 @@ def test_negative_truncation_rejected():
     assert family_series(PD, 0) == one(0)
 
 
+# --- residue arithmetic: the series mod m is the exact series reduced mod m ---
+
+_RESIDUE_FAMILIES = ["pd", "a", "pod2", "op2", "ordinary", "p3_1", "d5_2", "p5_1,4", "d3_1,2"]
+_MODULI = [1, 2, 3, 4, 5, 7, 9, 27]
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_coeffs(name, truncation):
+    return tuple(family_series(family_by_name(name), truncation).coeffs)
+
+
+@pytest.mark.parametrize("m", _MODULI)
+@pytest.mark.parametrize("name", _RESIDUE_FAMILIES)
+def test_series_mod_m_is_the_exact_series_reduced(name, m):
+    exact = _exact_coeffs(name, 400)
+    assert family_series(family_by_name(name), 400, m).coeffs == [c % m for c in exact]
+
+
+@pytest.mark.parametrize("m", _MODULI)
+@pytest.mark.parametrize("name", _RESIDUE_FAMILIES)
+def test_scan_matches_a_scan_of_the_exact_series(name, m):
+    exact = _exact_coeffs(name, 400)
+    for r in range(m):
+        expected = [n for n in range((400 - r) // m + 1) if exact[m * n + r] % m]
+        assert scan_congruence(family_by_name(name), 400, m, r) == expected, r
+
+
+def test_scan_builds_through_family_series_with_its_modulus(monkeypatch):
+    # the benchmark tracer counts series builds at `family_series`, so a scan
+    # must build there, and mod its own modulus
+    calls, build = [], series.family_series
+
+    def recording(*args, **kwargs):
+        calls.append(dict(inspect.signature(build).bind(*args, **kwargs).arguments))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(series, "family_series", recording)
+    scan_congruence(PD, 60, 5, 1)
+    assert calls == [{"f": PD, "truncation": 60, "modulus": 5}]
+
+
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_scan_refuses_a_modulus_below_1(modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        scan_congruence(PD, 30, modulus)
+
+
+def test_scan_refuses_a_negative_residue():
+    with pytest.raises(ValueError, match="residue"):
+        scan_congruence(PD, 30, 3, -1)
+
+
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_series_refuses_a_modulus_below_1(modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        build_series({(1, 1): -1}, 10, modulus)
+    with pytest.raises(ValueError, match="modulus"):
+        family_series(PD, 10, modulus)
+
+
 def test_congruence_scan_finds_violations():
     # partitions into distinct parts: count(2) = 1, a witness at n = 0
     distinct = Family("mod-distinct", 1, (0,))
@@ -357,6 +420,20 @@ def residue_maps(draw):
 def test_random_eta_maps_match_pentagonal_engine(factors, truncation):
     assert build_series(factors, truncation) == _reference_build(factors, truncation)
     assert _plan_sum(factors) == {key: e for key, e in factors.items() if e}
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta_maps, st.integers(0, 500), st.integers(1, 30))
+def test_random_eta_maps_mod_m_match_pentagonal_engine(factors, truncation, m):
+    exact = _reference_build(factors, truncation).coeffs
+    assert build_series(factors, truncation, m).coeffs == [c % m for c in exact]
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_maps(), st.integers(0, 300), st.integers(1, 30))
+def test_random_residue_maps_mod_m_match_linear_sweeps(factors, truncation, m):
+    exact = _reference_build(factors, truncation).coeffs
+    assert build_series(factors, truncation, m).coeffs == [c % m for c in exact]
 
 
 @settings(max_examples=40, deadline=None)
