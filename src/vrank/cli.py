@@ -145,7 +145,7 @@ def cmd_series(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest  # only this verb loads the worked examples
 
-    return run_selftest(print)
+    return run_selftest()
 
 
 @lru_cache(maxsize=None)

@@ -15,19 +15,22 @@ back the choice an element makes on each run, and `_RUN_ELEMENTS` builds
 elements from the choices alone.  A designated partition is held as its
 δ-split (alpha, beta), so its choice is a pair of pieces, as a two-colour
 choice is (red, blue) and an overpartition's (parts, overlined): the three
-share one pair builder.  `count_family` sweeps one table per family
-with the number of choices and writes nothing, in place and in plain loops
-(under CPython <= 3.11 a comprehension is a call per cell); a weight slice
-walks the partitions of n as it generates them, run (d, m) by run, keeps none,
-and cuts each branch at a run with no choice, so no run is recounted; it joins
+share one pair builder.  `count_family` multiplies one table per family by
+its factors, each 1 plus a sparse sum of k * q^size, in one downward sweep
+per factor that writes nothing, in place and in plain loops (under CPython
+<= 3.11 a comprehension is a call per cell): a run family's factor for a
+part d has k the number of choices for m copies of d at size m*d, and a
+vector's factors are its components' tables, each 1 at weight 0, as every
+family has exactly one element of weight 0.  A weight slice walks the
+partitions of n as it generates them, run (d, m) by run, keeps none, and
+cuts each branch at a run with no choice, so no run is recounted; it joins
 each element's text from its choices' texts, so none is formatted only to be
 sorted; and `format_element` joins the texts of an element's runs.  The
 writer's text decides reading and membership for every family: `parse_element`
 reads a text only as the writer's text of an element (run by run from the
 choices' texts, or for a staircase from `_generate`'s elements of its weight),
 so each element has one text, and `is_member` holds exactly for a value whose
-text reads back as itself.  A vector's counts convolve its components'
-tables, and a staircase family is counted from its generator.
+text reads back as itself.  A staircase family is counted from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
 sorted by text.  The slices of vector *components* are memoized per (family,
@@ -394,30 +397,25 @@ def _counts(f: Family, n: int) -> list[int]:
 
 
 def _count_table(f: Family, n: int) -> list[int]:
-    """The counts of weights 0..n."""
-    if f.tag == "vector":  # the convolution of the component counts
-        table = [1] + [0] * n
-        for g in f.components:
-            counts = _counts(g, n)
-            for w in range(n, -1, -1):  # table[v], v <= w, still without g
-                total = 0
-                for v in range(w + 1):
-                    total += table[v] * counts[w - v]
-                table[w] = total
-        return table
-    if f.tag not in _RUN_ELEMENTS:  # the staircases: at most two elements per weight
+    """The counts of weights 0..n: the product of f's factors, each 1 plus a
+    sparse sum of k * q^size held as its (size, k) terms, size rising.  A
+    vector's factors are its components' tables, each 1 at weight 0 (the
+    empty element); a run family's are per part d, with no partition built."""
+    if f.tag == "vector":
+        factors = ([(w, k) for w, k in enumerate(_counts(g, n)[1:n + 1], 1) if k]
+                   for g in f.components)
+    elif f.tag in _RUN_ELEMENTS:
+        factors = ([(m * d, k) for m in range(1, n // d + 1) if (k := len(_run_options(f, d, m)))]
+                   for d in range(1, n + 1))
+    else:  # the staircases: at most two elements per weight
         return [len(_generate(f, w)) for w in range(n + 1)]
-    # The sum over the partitions of n of the product of the run choices:
-    # one sweep over the weights per part size d that allows a run, reading
-    # only the multiplicities it allows; no partition built.
-    table = [1] + [0] * n  # table[w]: the count of weight w with parts < d
-    for d in range(1, n + 1):
-        ways = [(m * d, k) for m in range(1, n // d + 1) if (k := len(_run_options(f, d, m)))]
-        if not ways:  # no run of d: the table is already the count with parts <= d
+    table = [1] + [0] * n
+    for terms in factors:
+        if not terms:  # a factor 1, as for a part size that allows no run
             continue
-        for w in range(n, d - 1, -1):  # table[w - m*d], m >= 1, still without d
+        for w in range(n, terms[0][0] - 1, -1):  # table[w - size] still without the factor
             total = table[w]
-            for size, k in ways:
+            for size, k in terms:
                 if size > w:
                     break
                 total += k * table[w - size]

@@ -124,7 +124,7 @@ def family_bijection(f: Family) -> tuple[Callable, Callable, Family]:
     try:
         return _LAMBDAS[f]
     except KeyError:
-        raise OrbitError(f"no bijection available for family {f.tag}") from None
+        raise OrbitError(f"no bijection available for family {_name(f)}") from None
 
 
 def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[tuple]:
@@ -154,7 +154,7 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[tupl
         # check counts the tail families at every weight up to it.
         elements = enumerate_family(f, n, ceiling=ceiling)
         if not tail_condition_holds(image, n % 3, n):
-            raise OrbitError(f"tail weight condition fails for {f.tag} at residue {n % 3}")
+            raise OrbitError(f"tail weight condition fails for {_name(f)} at residue {n % 3}")
         size = len(elements)
         elements.reverse()  # popped from the end, so walked in text order
         seen = set()  # later members of earlier orbits; an orbit's x is never met again
@@ -196,17 +196,21 @@ def build_orbits(f: Family, n: int, ceiling: int = DEFAULT_CEILING) -> list[tupl
             gc.enable()
 
 
+def _name(f: Family) -> str:
+    """f's CLI id, or its tag for a family the CLI does not name."""
+    return next((key for key, g in NAMED_FAMILIES.items() if g == f), f.tag)
+
+
 def _witness(f: Family, y: Any) -> str:
     """The text of a pulled-back value, marked with f's name when it is not
     in f: the writer is total, but writes a member's text for some
     non-members.  A value not even of f's kind is shown by its repr."""
-    name = next((key for key, g in NAMED_FAMILIES.items() if g == f), f.tag)
     try:
         if is_member(f, y):
             return format_element(f, y)
     except ShapeMismatchError:  # the wrong type, or a vector of the wrong length
-        return f"{y!r} (not in {name})"
-    return f"{format_element(f, y)} (not in {name})"
+        return f"{y!r} (not in {_name(f)})"
+    return f"{format_element(f, y)} (not in {_name(f)})"
 
 
 # --- reports ----------------------------------------------------------------

@@ -251,6 +251,20 @@ def test_psi_rejects_multiplicity_one():
         psi((2, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "even_part, triples, error",
+    [
+        ((), (3, 3), "triples must be distinct multiples of 3"),
+        ((), (6, 4), "triples must be distinct multiples of 3"),
+        ((4, 3), (), "even component has an odd part"),
+    ],
+    ids=["repeated-triple", "not-a-multiple-of-3", "odd-even-part"],
+)
+def test_psi_inv_refuses_what_psi_never_gives(even_part, triples, error):
+    with pytest.raises(InvalidPartitionError, match=error):
+        psi_inv(even_part, triples)
+
+
 def test_psi_round_trip_small():
     for n in range(ROUND_TRIP_N):
         for beta in _multiplicity_two_partitions(n):

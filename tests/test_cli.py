@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vrank import orbits, series
+from vrank import cli, orbits, selftest, series
 from vrank.cli import VERIFY_CEILING, build_parser, main
 from vrank.families import NAMED_FAMILIES, PD, POD2, DesignatedPartition, VTuple, parse_element
 from vrank.partition import union
@@ -178,6 +178,39 @@ def test_verify_judges_each_method_by_its_own_checks(capsys, monkeypatch):
         "a orbits: checked n = 2, 5, 8 (--max-n 8)",
         "a orbits: ok",
         "series: coefficient at 2 not divisible by 3",
+    ]
+
+
+def test_verify_enumerate_failure_comes_after_every_status_line(capsys, monkeypatch):
+    # a count table off by one at n = 5 fails only the enumerate method
+    count = cli.count_family
+    monkeypatch.setattr(cli, "count_family", lambda f, n, ceiling: count(f, n, ceiling) + (n == 5))
+    code, out, err = run(capsys, "verify", "--family", "a", "--max-n", "8", "--method", "all")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "a series: checked n = 2, 5, 8 (--max-n 8)",
+        "a series: ok",
+        "a enumerate: checked n = 2, 5, 8 (--max-n 8)",
+        "a enumerate: FAIL",
+        "a orbits: checked n = 2, 5, 8 (--max-n 8)",
+        "a orbits: ok",
+        "enumerate: count(a, 5) = 13",
+    ]
+
+
+@pytest.mark.parametrize("family", ["pd", "a", "pod2"])
+def test_verify_names_a_failed_tail_check_by_the_family_id(capsys, monkeypatch, family):
+    monkeypatch.setattr(orbits, "tail_condition_holds", lambda image, j, bound: False)
+    code, out, err = run(
+        capsys, "verify", "--family", family, "--max-n", "5", "--method", "orbits"
+    )
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        f"{family} orbits: FAIL",
+        f"orbits: tail weight condition fails for {family} at residue 2",
+        f"orbits: tail weight condition fails for {family} at residue 2",
     ]
 
 
@@ -424,6 +457,35 @@ def test_selftest_reads_the_printed_table_rows(capsys, monkeypatch):
     assert code == 1
     for name in ("pd", "a", "pod2"):
         assert f"FAIL n=5 decomposition table for {name}\n" in out
+
+
+def test_selftest_counts_an_anchor_that_raises_as_one_failure(capsys, monkeypatch):
+    def broken():
+        raise ValueError("no anchor")
+
+    def checks():
+        yield "holds", lambda: True
+        yield "raises", broken
+        yield "fails", lambda: False
+
+    monkeypatch.setattr(selftest, "_checks", checks)
+    code, out, err = run(capsys, "selftest")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "pass holds",
+        "FAIL raises: ValueError('no anchor')",
+        "FAIL fails",
+        "selftest: 2 failure(s)",
+    ]
+
+
+def test_pd_inverse_refuses_repeated_triples(capsys):
+    # psi_inv refuses them too, but the reader of the image space comes first
+    code, out, err = run(capsys, "bijection", "--family", "pd", "--inverse", "(0;0;0;0;3+3)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: '3+3' is not a run of mod-distinct\n"
 
 
 @pytest.mark.parametrize(

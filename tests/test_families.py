@@ -266,8 +266,11 @@ def test_enumerate_counts_n5():
 
 
 def test_enumerate_weight_zero():
-    for f in (PD, A, POD2, OP2, ORDINARY, STAIRCASE, ODD_STAIRCASE, OVERPARTITION):
+    # every kind of family has exactly one element of weight 0, the count a
+    # vector's count table relies on for each of its components
+    for f in (*ONE_PER_TAG, OP2, PD_IMAGE, A_IMAGE, POD2_IMAGE, family_by_name("p5_1,4")):
         assert len(enumerate_family(f, 0)) == 1
+        assert count_family(f, 0) == 1
 
 
 def test_staircase_weights_are_triangular():
@@ -562,6 +565,24 @@ def test_a_rebuilt_count_table_equals_a_fresh_one(f, monkeypatch):
     count_family(f, 30, ceiling=30)
     assert len(families._COUNTS[f]) == 31
     assert families._counts(f, 120) == fresh and len(fresh) == 121
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PD_IMAGE, POD2_IMAGE, Family("vector", components=(STAIRCASE, ODD_STAIRCASE))],
+    ids=["pd-image", "pod2-image", "staircases"],
+)
+def test_vector_counts_are_the_convolution_of_component_tables(f, monkeypatch):
+    # the components' tables are sparse (a staircase is nonzero at a few
+    # weights, distinct multiples of 3 and even parts at some), and the
+    # product is checked against the dense convolution of all of them
+    monkeypatch.setattr(families, "_COUNTS", {})
+    table = [1] + [0] * 200
+    for g in f.components:
+        counts = [count_family(g, w, ceiling=200) for w in range(201)]
+        table = [sum(table[v] * counts[w - v] for v in range(w + 1)) for w in range(201)]
+    monkeypatch.setattr(families, "_COUNTS", {})
+    assert families._count_table(f, 200) == table
 
 
 def test_enumeration_leaves_runs_alone(monkeypatch):

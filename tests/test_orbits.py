@@ -12,6 +12,7 @@ from vrank.families import (
     EnumerationLimitError,
     Family,
     OddStaircase,
+    OP2,
     ORDINARY,
     PD,
     PD_IMAGE,
@@ -321,6 +322,11 @@ def test_build_orbits_names_a_failed_round_trip(monkeypatch):
     monkeypatch.setitem(orbits_module._LAMBDAS, PD, (forward, lambda v: wrong, image))
     with pytest.raises(OrbitError, match=r"round trip of 1'\+1 at n=2 gives 2'"):
         build_orbits(PD, 2)
+
+
+def test_a_family_without_a_bijection_is_named_by_its_cli_id():
+    with pytest.raises(OrbitError, match="^no bijection available for family op2$"):
+        build_orbits(OP2, 5)
 
 
 def test_build_orbits_names_an_orbit_that_misses_a_rank_residue(monkeypatch):
