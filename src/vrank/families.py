@@ -21,25 +21,29 @@ per factor that writes nothing, in place and in plain loops (under CPython
 <= 3.11 a comprehension is a call per cell): a run family's factor for a
 part d has k the number of choices for m copies of d at size m*d, and a
 vector's factors are its components' tables, each 1 at weight 0, as every
-family has exactly one element of weight 0.  A weight slice walks the
-partitions of n as it generates them, run (d, m) by run, keeps none, and
-cuts each branch at a run with no choice, so no run is recounted; it joins
-each element's text from its choices' texts, so none is formatted only to be
-sorted; and `format_element` joins the texts of an element's runs.  The
-writer's text decides reading and membership for every family: `parse_element`
-reads a text only as the writer's text of an element (run by run from the
-choices' texts, or for a staircase from `_generate`'s elements of its weight),
-so each element has one text, and `is_member` holds exactly for a value whose
-text reads back as itself.  A staircase family is counted from its generator.
+family has exactly one element of weight 0.  A weight slice is a product
+of factors too, walked once by `_partitions`, which picks at most one (size,
+pool) entry per key, keys falling and sizes summing to n.  A run family's
+keys are its part sizes d, with a pool of choices and their texts for each
+run (d, m) it allows, so no run is recounted and a run with no choice is
+never walked; a vector's keys are its component positions, with its cached
+nonempty component slices of weight >= 1, and a component the walk leaves
+out takes its one element of weight 0.  A slice keeps no partition and
+joins each element's text from its pools' texts, so none is formatted only
+to be sorted; `format_element` joins the writer's texts of an element's
+runs, a staircase's too.  The writer's text decides reading and membership
+for every family: `parse_element` reads a text only as the writer's text of
+an element (run by run from the choices' texts, or for a staircase from
+`_generate`'s elements of its weight), so each element has one text, and
+`is_member` holds exactly for a value whose text reads back as itself.  A
+staircase family is counted and sliced from its generator.
 
 A weight slice is a pair of parallel tuples (canonical texts, elements)
-sorted by text.  The slices of vector *components* are memoized per (family,
-weight) in `_component_slice`, so a vector slice is the product of cached
-pools over the weight splits whose pools are all nonempty, and its text is
-joined from the cached component texts.  Top-level slices are not cached:
-`enumerate_family` builds each one afresh and returns a new list.  No cache
-of partitions is kept: one was hit only by a second family sliced at the same
-weight in one process, never within a single-family CLI call.
+sorted by text.  Vector *component* slices are memoized per (family, weight)
+in `_component_slice`.  Top-level slices are not cached: `enumerate_family`
+builds each one afresh and returns a new list.  No cache of partitions is
+kept: one was hit only by a second family sliced at the same weight in one
+process, never within a single-family CLI call.
 """
 
 import itertools
@@ -266,19 +270,17 @@ def format_element(f: Family, x: Any) -> str:
     components, raises ShapeMismatchError."""
     tag = f.tag
     _require_type(f, x)
-    if tag in _RUN_ELEMENTS:
-        toks = [_run_text(tag, d, m, choice) for d, m, choice in _runs_of(f, x)]
-    elif tag == "staircase":
-        toks = map(str, x)
-    elif tag == "odd-staircase":
-        toks = [str(v) for v in x.parts]
-        if x.one_overlined:
-            toks[-1] += "~"
-    else:  # a vector
+    if tag == "vector":
         k = len(x.components)
         if k != len(f.components):
             raise ShapeMismatchError(f"expected {len(f.components)} components, got {k}")
         return "(" + ";".join(map(format_element, f.components, x.components)) + ")"
+    if tag == "odd-staircase":
+        toks = [str(v) for v in x.parts]
+        if x.one_overlined:
+            toks[-1] += "~"
+    else:  # a run family, or a staircase, whose runs write as their parts do
+        toks = [_run_text(tag, d, m, choice) for d, m, choice in _runs_of(f, x)]
     return "+".join(toks) or "0"
 
 
@@ -538,35 +540,38 @@ Slice = tuple[tuple[str, ...], tuple[Any, ...]]
 
 
 def _text_slice(f: Family, n: int) -> Slice:
-    """(canonical texts, elements) of weight n, both in text order."""
+    """(canonical texts, elements) of weight n, both in text order: for each
+    pick of `_partitions`, the product of its pools, texts joined as
+    format_element joins them."""
+    pairs = []
     if f.tag == "vector":
-        # The same text format_element gives a vector, from cached parts.
-        pairs = [
-            ("(" + ";".join(texts) + ")", combo)
-            for pools in _pool_splits(f.components, n)
-            for texts, combo in zip(
-                itertools.product(*(texts for texts, _ in pools)),
-                itertools.product(*(elems for _, elems in pools)),
+        # Keys are component positions, with their cached nonempty slices of
+        # weight >= 1; a component left out keeps its weight-0 slice.
+        table = {i: [(w, pool) for w in range(1, n + 1) if (pool := _component_slice(g, w))[1]]
+                 for i, g in enumerate(f.components, 1)}
+        empty = [_component_slice(g, 0) for g in f.components]
+        for pick in _partitions(table, n, len(f.components)):
+            pools = empty.copy()
+            for i, pool in pick:
+                pools[i - 1] = pool
+            pairs += zip(
+                ("(" + ";".join(ts) + ")" for ts in itertools.product(*(t for t, _ in pools))),
+                map(VTuple, itertools.product(*(elems for _, elems in pools))),
             )
-        ]
-        pairs.sort(key=itemgetter(0))
-        return tuple(t for t, _ in pairs), tuple(VTuple(combo) for _, combo in pairs)
-    if f.tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
-        pairs = [(format_element(f, x), x) for x in _generate(f, n)]
+    elif f.tag not in _RUN_ELEMENTS:  # the staircases; _generate refuses any other tag
+        pairs += [(format_element(f, x), x) for x in _generate(f, n)]
     else:
-        # The same text format_element gives, joined from the writer's texts
-        # of the run choices, which are made once per run (d, m) of the slice.
+        # Keys are part sizes d, with the choices of each run (d, m) allowed
+        # and their writer's texts, made once per slice.
         tag = f.tag
-        elements = _RUN_ELEMENTS[tag][1]
         table = {  # d -> (m*d, (choices, their texts)) for each m allowed, m rising
             d: [(m * d, (choices, [_run_text(tag, d, m, c) for c in choices]))
                 for m in range(1, n // d + 1) if (choices := _run_options(f, d, m))]
             for d in range(1, n + 1)}
-        pairs = []
-        for per_run in _partitions(table, n, n):
+        for pick in _partitions(table, n, n):
             pairs += zip(
-                map("+".join, itertools.product(*(texts for _, texts in per_run))),
-                elements([choices for choices, _ in per_run]),
+                map("+".join, itertools.product(*(texts for _, (_, texts) in pick))),
+                _RUN_ELEMENTS[tag][1]([choices for _, (choices, _) in pick]),
             )
     pairs.sort(key=itemgetter(0))
     # "" is the empty run-family element, written 0
@@ -576,33 +581,25 @@ def _text_slice(f: Family, n: int) -> Slice:
 _component_slice = lru_cache(maxsize=None)(_text_slice)
 
 
-def _pool_splits(components: tuple[Family, ...], n: int) -> Iterator[tuple[Slice, ...]]:
-    """Cached component slices for every split of n over the components in
-    which no slice is empty; splits are in lexicographic order."""
-    if len(components) == 1:
-        pool = _component_slice(components[0], n)
-        if pool[1]:
-            yield (pool,)
-        return
-    for w in range(n + 1):
-        pool = _component_slice(components[0], w)
-        if pool[1]:
-            for rest in _pool_splits(components[1:], n - w):
-                yield (pool,) + rest
-
-
 def _partitions(table: dict, n: int, top: int) -> Iterator[tuple]:
-    """The partitions of n with no part above top, each as its runs' entries in
-    a slice's run table: a run with no choice, absent there, cuts its branch."""
+    """Every pick of at most one (size, pool) entry per key of table, keys
+    falling from top and sizes summing to n, as its (key, pool) pairs: the
+    one walk of every slice.  A key's entries rise in size, and a key with
+    none, as a part size that allows no run, is passed over.  An entry that
+    fits exactly ends its pick, and at key 1, the last, no smaller entry is
+    recursed into."""
     if n == 0:
         yield ()
         return
-    for d in range(min(n, top), 0, -1):
-        for size, run in table[d]:
-            if size > n:
+    for key in range(top, 0, -1):
+        for size, pool in table[key]:
+            if size >= n:
+                if size == n:
+                    yield ((key, pool),)
                 break
-            for tail in _partitions(table, n - size, d - 1):
-                yield (run,) + tail
+            if key > 1:
+                for tail in _partitions(table, n - size, key - 1):
+                    yield ((key, pool),) + tail
 
 
 # --- CLI-facing catalog -----------------------------------------------------

@@ -43,7 +43,7 @@ from vrank.families import (
     is_member,
     parse_element,
 )
-from vrank.partition import InvalidPartitionError, runs
+from vrank.partition import InvalidPartitionError, runs, staircase
 from vrank.series import family_series
 
 
@@ -627,9 +627,20 @@ def test_tail_check_builds_one_count_table_per_family(monkeypatch):
 
 # --- enumeration core -------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
+# With a vector whose components are empty at most weights, each with its
+# own weight-0 element, and a vector of one component: a slice walk must keep
+# every component, fill each one left out from its own weight-0 slice, and
+# place an exact fit at its key.
+ENUMERATED = {
+    **CORE_FAMILIES,
+    "sparse": Family("vector", components=(ODD_STAIRCASE, STAIRCASE, DISTINCT_MULTIPLES_OF_3)),
+    "pod-alone": Family("vector", components=(POD,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
 def test_enumeration_matches_reference(name):
-    f = CORE_FAMILIES[name]
+    f = ENUMERATED[name]
     for n in range(13):
         elems = enumerate_family(f, n)
         text = lambda x: format_element(f, x)  # noqa: E731
@@ -660,6 +671,10 @@ def test_slice_texts_are_the_formatted_sort(name):
         texts, elems = families._text_slice(f, n)
         assert texts == tuple(format_element(f, x) for x in elems)
         assert list(elems) == sorted(generate(f, n), key=lambda x: format_element(f, x))
+    if f == STAIRCASE:  # written by the run writer, each part as str writes it
+        for x in [*map(staircase, range(25)), (2, 2), (2.0, 2), (3, True), (1, 2)]:  # to weight 300
+            assert format_element(f, x) == ("+".join(map(str, x)) or "0")
+        assert [format_element(f, x) for x in [(), (2, 2), (2.0, 2)]] == ["0", "2+2", "2.0+2"]
 
 
 @pytest.mark.parametrize("name", sorted(CORE_FAMILIES))
